@@ -12,9 +12,6 @@
 //	pdlbench -exp gctail -workers 8  # reflection tail latency, sync vs background GC
 //	pdlbench -exp read -assertread   # hot reads: diff cache off vs on vs batched
 //	pdlbench -exp 1 -backend file    # same experiment on the persistent backend
-//	pdlbench -exp adaptive -channels 4 -assertadaptive
-//	                                 # adaptive routing vs every fixed method,
-//	                                 # flash ops per logical write, channels 1 and 4
 //	pdlbench -exp fault -assertfault # seeded fault injection: heal or fail typed,
 //	                                 # zero silent corruptions, verify on/off latency
 //	pdlbench -exp par -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -84,14 +81,13 @@ func realMain() int {
 		assertR   = flag.Bool("assertread", false, "with -exp read: exit nonzero unless the cache cuts device reads per logical read from ~2 to ~1 (needs -readcache both)")
 		backend   = flag.String("backend", "emu", "flash backend: emu (in-memory) or file (persistent)")
 		path      = flag.String("path", "", "directory for -backend file device files (default: a temp dir)")
-		report    = flag.String("report", "", "directory for BENCH_*.json reports (par/gctail/batch/read/ycsb/adaptive; default: none, except -exp ycsb which defaults to '.')")
+		report    = flag.String("report", "", "directory for BENCH_*.json reports (par/gctail/batch/read/ycsb/fault; default: none, except -exp ycsb which defaults to '.')")
 		workloads = flag.String("workloads", "A,B,C,D,E,F", "with -exp ycsb: comma-separated core workloads to run")
 		records   = flag.Int("records", 100_000, "with -exp ycsb: initial key count")
 		clients   = flag.Int("clients", 4, "with -exp ycsb: concurrent client goroutines")
 		valueSize = flag.Int("valuesize", 100, "with -exp ycsb: value size in bytes")
 		assertY   = flag.Bool("assertycsb", false, "with -exp ycsb: exit nonzero unless PDL beats OPU's simulated I/O time on every write-heavy zipfian workload run (A, F)")
-		theta     = flag.Float64("theta", 0.99, "zipfian skew for -exp ycsb request distributions and the -exp adaptive mixed workload")
-		assertA   = flag.Bool("assertadaptive", false, "with -exp adaptive: exit nonzero unless the adaptive method's flash ops per logical write is no worse than every fixed method at every channel count")
+		theta     = flag.Float64("theta", 0.99, "zipfian skew for -exp ycsb request distributions")
 		faultRate = flag.Float64("faultrate", 0.02, "with -exp fault: per-program decay probability of the seeded campaign")
 		assertF   = flag.Bool("assertfault", false, "with -exp fault: exit nonzero unless the campaign injected faults, every injected fault healed or failed typed, and zero reads returned silently corrupt bytes")
 		verifySel = flag.String("verify", "both", "with -exp fault: run the verify-on latency point, the verify-off baseline, or both")
@@ -282,16 +278,12 @@ func realMain() int {
 			if err := runYCSB(g, *backend, *workloads, *records, *clients, *valueSize, *ops, *theta, dir, *assertY); err != nil {
 				return err
 			}
-		case "adaptive":
-			if err := runAdaptive(g, *channels, *theta, *report, *backend, *assertA); err != nil {
-				return err
-			}
 		case "fault":
 			if err := runFault(g, *backend, *ops, *faultRate, *verifySel, *assertF, *report); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("unknown experiment %q (want 1..7, par, gctail, batch, read, ycsb, adaptive, fault, or all)", id)
+			return fmt.Errorf("unknown experiment %q (want 1..7, par, gctail, batch, read, ycsb, fault, or all)", id)
 		}
 		fmt.Println()
 		return nil
@@ -848,76 +840,6 @@ func runParallel(g bench.Geometry, maxWorkers, ops int, reportDir, backend strin
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runAdaptive runs the adaptive-routing experiment (-exp adaptive): flash
-// operations per logical write under a mixed zipfian workload, the
-// adaptive router against every fixed method, swept over channel counts.
-// With assert set it exits nonzero unless the adaptive method is no worse
-// than every fixed method at every channel count — the experiment's
-// headline claim, enforced in CI.
-func runAdaptive(g bench.Geometry, maxChannels int, theta float64,
-	reportDir, backend string, assert bool) error {
-	fmt.Printf("Adaptive routing experiment: flash ops per logical write, mixed zipfian workload (theta=%.2f)\n", theta)
-	fmt.Printf("# geometry: %s, DB = %.0f%%, conditioning %.1f GC rounds/block, %d measured ops\n",
-		g.Params, g.DBFrac*100, g.GCRounds, g.MeasureOps)
-	fmt.Printf("# density classes by pid hash: 60%% sparse (16B slots), 25%% medium (eighth-page regions), 15%% dense (full page)\n")
-	ok := true
-	for _, nchan := range channelSweep(maxChannels) {
-		cg := g
-		cg.Channels = nchan
-		points, err := bench.ExpAdaptive(cg, theta)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nchannels = %d\n", nchan)
-		bench.WriteAdaptiveTable(os.Stdout, points)
-		var adaptive *bench.AdaptivePoint
-		for i := range points {
-			if points[i].Method == "Adaptive" {
-				adaptive = &points[i]
-			}
-		}
-		for _, p := range points {
-			fl := p.Flash
-			fo := p.FlashOps
-			params := geometryParams(cg)
-			params.Theta = theta
-			if err := emitReport(reportDir, bench.Report{
-				Experiment: fmt.Sprintf("adaptive-c%d", nchan),
-				Method:     p.Method,
-				Backend:    backend,
-				Params:     params,
-				Ops:        p.Ops,
-				Flash:      &fl,
-				FlashOps:   &fo,
-				Telemetry:  p.Telemetry,
-				ChannelGC:  p.ChannelGC,
-			}); err != nil {
-				return err
-			}
-		}
-		if adaptive == nil {
-			return fmt.Errorf("adaptive experiment produced no Adaptive point")
-		}
-		for _, p := range points {
-			if p.Method == "Adaptive" {
-				continue
-			}
-			if adaptive.FlashOps.PerWrite > p.FlashOps.PerWrite {
-				fmt.Printf("# ASSERT adaptive: Adaptive %.4f ops/write worse than %s %.4f at %d channels\n",
-					adaptive.FlashOps.PerWrite, p.Method, p.FlashOps.PerWrite, nchan)
-				ok = false
-			}
-		}
-	}
-	if assert && !ok {
-		return fmt.Errorf("adaptive method lost to a fixed method on flash ops per logical write (see ASSERT lines)")
-	}
-	if assert {
-		fmt.Printf("# assert ok: adaptive ≤ every fixed method at every channel count\n")
 	}
 	return nil
 }

@@ -132,7 +132,7 @@ func (s *Store) badCaller() {
 	s.commitLocked() // want `call to commitLocked requires holding the flash lock \(declared //pdlvet:holds flash\)`
 }
 
-// routeLocked declares the adaptive-tracker convention: per-page routing
+// routeLocked declares the shard-held convention: per-pid write-buffer
 // state is read-modify-written only under the owning pid's shard lock.
 //
 //pdlvet:holds shard

@@ -377,8 +377,6 @@ func TestReportRoundTrip(t *testing.T) {
 			Programs:      9_000,
 			Erases:        150,
 			PerWrite:      0.4575,
-			PDLRouted:     14_000,
-			OPURouted:     6_000,
 		},
 		Telemetry: &core.Telemetry{
 			BufferFlushes:          310,
@@ -408,10 +406,17 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"channels": 4`, `"channel_gc"`, `"pages_moved"`, `"cold_migrations"`,
-		`"flash_ops"`, `"per_write"`, `"pdl_routed"`, `"opu_routed"`,
+		`"flash_ops"`, `"per_write"`,
 		`"EccCorrectedBits": 7`, `"PagesHealed": 2`, `"UnrecoverablePages": 1`, `"HeaderChecksumFailures": 1`} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("serialized report missing %s", key)
+		}
+	}
+	// Schema 5 dropped the per-page router's route split and GC mode
+	// migrations; a report must not resurrect them.
+	for _, key := range []string{`"pdl_routed"`, `"opu_routed"`, `"mode_migrations"`} {
+		if strings.Contains(string(raw), key) {
+			t.Errorf("serialized report still carries %s", key)
 		}
 	}
 

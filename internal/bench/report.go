@@ -23,14 +23,17 @@ import (
 //
 // Version history:
 //
-//	1: initial schema (PR 7)
+//	1: initial schema
 //	2: params.channels and the channel_gc per-channel GC counter section
 //	3: the flash_ops section (flash programs+erases per logical write,
 //	   with the adaptive PDL/OPU route split) and params.theta
 //	4: integrity counters in the telemetry section (EccCorrectedBits,
 //	   PagesHealed, UnrecoverablePages, HeaderChecksumFailures) and the
 //	   fault experiment's heal/typed-error rates in extra
-const ReportSchemaVersion = 4
+//	5: the adaptive route split (flash_ops.pdl_routed/opu_routed,
+//	   channel_gc.mode_migrations and the Adaptive* telemetry counters)
+//	   removed with the per-page router
+const ReportSchemaVersion = 5
 
 // ReportParams records the knobs that produced a report, page-level and
 // serving-level alike; unused fields stay zero and are omitted.
@@ -83,8 +86,8 @@ type Report struct {
 	// Telemetry is the PDL store's internal counters (PDL methods only).
 	Telemetry *core.Telemetry `json:"telemetry,omitempty"`
 	// FlashOps is the flash-operations-per-logical-write cost metric
-	// (PDL-family stores only; the denominator is store-counted logical
-	// reflections, the route split is the adaptive router's).
+	// (PDL stores only; the denominator is store-counted logical
+	// reflections).
 	FlashOps *core.FlashOpsPerLogicalWrite `json:"flash_ops,omitempty"`
 	// Pool is the buffer-pool counters (serving-layer runs).
 	Pool *buffer.Stats `json:"pool,omitempty"`

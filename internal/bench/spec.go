@@ -28,9 +28,6 @@ const (
 	KindOPU
 	KindIPU
 	KindIPL
-	// KindAdaptive is the PDL store with per-page adaptive routing
-	// between the differential and whole-page paths (core/adaptive.go).
-	KindAdaptive
 )
 
 // MethodSpec describes one method configuration.
@@ -76,14 +73,6 @@ func (s MethodSpec) Build(dev flash.Device, numPages int) (ftl.Method, error) {
 			// measures the cache's effect explicitly.
 			DiffCachePages: core.DiffCacheOff,
 		})
-	case KindAdaptive:
-		return core.New(dev, numPages, core.Options{
-			MaxDifferentialSize: s.Param,
-			ReserveBlocks:       2,
-			Shards:              s.Shards,
-			DiffCachePages:      core.DiffCacheOff,
-			Adaptive:            core.AdaptiveOptions{Enabled: true, ProbeEvery: 2},
-		})
 	case KindOPU:
 		return opu.New(dev, numPages, 2)
 	case KindIPU:
@@ -107,8 +96,6 @@ func (s MethodSpec) Name(p flash.Params) string {
 				return fmt.Sprintf("PDL(%dKB)", s.Param/1024)
 			}
 			return fmt.Sprintf("PDL(%dB)", s.Param)
-		case KindAdaptive:
-			return "Adaptive"
 		case KindOPU:
 			return "OPU"
 		case KindIPU:

@@ -34,12 +34,9 @@ type pendingOp struct {
 	home int
 
 	// Base-page op (spill == false): pid's logical image becomes a new
-	// base page, tagged with logging mode mode (0 fixed/PDL,
-	// ftl.ModeTagOPU for the adaptive whole-page route). data aliases
-	// the caller's batch entry until programmed.
+	// base page. data aliases the caller's batch entry until programmed.
 	pid  uint32
 	data []byte
-	mode byte
 
 	// Spill op (spill == true): the shard's differential write buffer
 	// became img (a pooled page image) carrying diffs.
@@ -189,59 +186,12 @@ func (s *Store) stageShard(sh *shard, si int, writes []ftl.PageWrite, idxs []int
 	cur := sh.dwb.clone()
 	pendImg := make(map[uint32][]byte)
 	effDif := make(map[uint32]bool)
-	// pendMode tracks the logging mode staged for a pid earlier in this
-	// batch, so later writes of the same pid route against the staged
-	// mode rather than the not-yet-committed mapTable one.
-	var pendMode map[uint32]byte
-	if s.adap != nil {
-		pendMode = make(map[uint32]byte)
-	}
 	base := s.getPage()
 	defer s.putPage(base)
 
 	for _, idx := range idxs {
 		pid, data := writes[idx].PID, writes[idx].Data
 		ts := tsBase + uint64(idx) + 1
-
-		// Step 0 (adaptive stores only): the same per-write routing
-		// decision the serial path takes; see adaptive.go.
-		probing := false
-		var mode byte
-		if s.adap != nil {
-			var known bool
-			if mode, known = pendMode[pid]; !known {
-				mode = s.mt.modeOf(pid)
-			}
-			// Effective base/differential existence for the route: the
-			// batch's own pending state wins; otherwise check the cloned
-			// buffer and the durable mapping, as the serial path does.
-			re, _ := s.mt.snapshot(pid)
-			hasBase := pendImg[pid] != nil || re.base != flash.NilPPN
-			hasDiff, tracked := effDif[pid]
-			if !tracked {
-				if _, ok := cur.get(pid); ok {
-					hasDiff = true
-				} else {
-					hasDiff = re.dif != flash.NilPPN
-				}
-			}
-			switch s.adap.route(pid, mode, hasBase, hasDiff) {
-			case routeOPU:
-				s.wtel.opuRoutes.Add(1)
-				if mode != ftl.ModeTagOPU {
-					s.wtel.modeSwitches.Add(1)
-				}
-				cur.remove(pid)
-				ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data, mode: ftl.ModeTagOPU})
-				pendImg[pid] = data
-				effDif[pid] = false
-				pendMode[pid] = ftl.ModeTagOPU
-				continue
-			case routeProbe:
-				probing = true
-				s.wtel.probes.Add(1)
-			}
-		}
 
 		// Step 1: resolve the base image this write diffs against.
 		img, difExists := pendImg[pid], false
@@ -302,36 +252,9 @@ func (s *Store) stageShard(sh *shard, si int, writes []ftl.PageWrite, idxs []int
 		// path writes.
 		cur.remove(pid)
 		if d.Empty() && !difExists {
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
-			}
 			continue // byte-identical to its base and no stale differential to supersede
 		}
 		size := d.EncodedSize()
-		if s.adap != nil {
-			if dense := s.adap.noteDensity(pid, size, s.params.DataSize); dense ||
-				s.adap.cut(size, s.params.DataSize) {
-				// Measured dense or past the instantaneous whole-page
-				// cut: stage a whole-page write instead.
-				s.wtel.opuRoutes.Add(1)
-				if mode != ftl.ModeTagOPU {
-					s.wtel.modeSwitches.Add(1)
-				}
-				ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data, mode: ftl.ModeTagOPU})
-				pendImg[pid] = data
-				effDif[pid] = false
-				pendMode[pid] = ftl.ModeTagOPU
-				continue
-			}
-			s.wtel.pdlRoutes.Add(1)
-			if probing {
-				// The probe measured sparse: back to the differential
-				// route (same early flip as the serial path).
-				s.wtel.modeSwitches.Add(1)
-				s.mt.setMode(pid, 0)
-				pendMode[pid] = 0
-			}
-		}
 		switch {
 		case size <= cur.free(): // Case 1
 			cur.add(d)
@@ -347,9 +270,6 @@ func (s *Store) stageShard(sh *shard, si int, writes []ftl.PageWrite, idxs []int
 			ops = append(ops, pendingOp{idx: idx, ts: ts, home: home, pid: pid, data: data})
 			pendImg[pid] = data
 			effDif[pid] = false
-			if pendMode != nil {
-				pendMode[pid] = 0
-			}
 		}
 	}
 	return ops, cur, nil
@@ -462,7 +382,7 @@ func (s *Store) writePending(ops []pendingOp) error {
 	batch := make([]flash.PageProgram, len(ops))
 	for i, op := range ops {
 		h := ftl.Header{Type: ftl.TypeBase, PID: op.pid, TS: op.ts,
-			Seq: s.alloc.SeqOf(s.params.BlockOf(ppns[i])), Mode: op.mode}
+			Seq: s.alloc.SeqOf(s.params.BlockOf(ppns[i]))}
 		data := op.data
 		if op.spill {
 			h.Type, h.PID = ftl.TypeDiff, ftl.NoPID
@@ -504,7 +424,7 @@ func (s *Store) writePending(ops []pendingOp) error {
 			continue
 		}
 		s.wtel.newBasePages.Add(1)
-		old := s.mt.setBasePage(op.pid, ppns[i], op.ts, op.mode)
+		old := s.mt.setBasePage(op.pid, ppns[i], op.ts)
 		if old.base != flash.NilPPN {
 			if err := s.alloc.MarkObsoleteFrom(old.base, ch); err != nil {
 				return err

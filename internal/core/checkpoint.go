@@ -10,9 +10,6 @@ import (
 	"pdl/internal/ftl"
 )
 
-// diffsOf decodes the differentials packed in a differential page.
-func diffsOf(pageData []byte) []diff.Differential { return diff.DecodeAll(pageData) }
-
 // This file implements the extension the paper leaves as further study
 // (section 4.5): "To recover the physical page mapping table without
 // scanning all the physical pages in flash memory, we have to log the
@@ -45,12 +42,13 @@ var ErrCheckpointTooLarge = errors.New("core: checkpoint does not fit the reserv
 // checkpoint wire format constants.
 const (
 	ckptMagic = 0x504C4443 // "CDLP"
-	// Version history: 1 per-pid <base, dif, baseTS, diffTS> (PR 5);
-	// 2 adds the per-pid adaptive logging mode byte. Older checkpoints
-	// are rejected — full-scan Recover handles such devices.
-	ckptVersion    = 2
+	// Version history: 1 per-pid <base, dif, baseTS, diffTS>; 2 adds
+	// the per-pid adaptive logging mode byte; 3 drops it again with the
+	// per-page router. Older checkpoints are rejected — full-scan
+	// Recover handles such devices.
+	ckptVersion    = 3
 	ckptHdrSize    = 4 + 2 + 2 + 8 + 8 + 8 + 4 + 4 + 4 // magic..payloadLen
-	ckptPerPID     = 4 + 4 + 8 + 8 + 1
+	ckptPerPID     = 4 + 4 + 8 + 8
 	ckptPerBlock   = 8 + 2 + 2 + 1
 	ckptStateFree  = 0
 	ckptStateFull  = 1
@@ -119,7 +117,6 @@ func (s *Store) serializeCheckpoint(id uint64) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.dif))
 		buf = binary.LittleEndian.AppendUint64(buf, s.mt.baseTS[pid])
 		buf = binary.LittleEndian.AppendUint64(buf, s.mt.diffTS[pid])
-		buf = append(buf, s.mt.mode[pid])
 	}
 	for b := 0; b < p.NumBlocks; b++ {
 		bs := s.alloc.BlockStats(b)
@@ -423,7 +420,6 @@ func (s *Store) loadCheckpoint(payload []byte) ([]uint64, []byte, error) {
 		s.mt.ppmt[pid].dif = flash.PPN(int32(binary.LittleEndian.Uint32(payload[off+4:])))
 		s.mt.baseTS[pid] = binary.LittleEndian.Uint64(payload[off+8:])
 		s.mt.diffTS[pid] = binary.LittleEndian.Uint64(payload[off+16:])
-		s.mt.mode[pid] = payload[off+24]
 		off += ckptPerPID
 	}
 	blockSeq := make([]uint64, numBlocks)
@@ -459,7 +455,6 @@ func (s *Store) invalidateEntriesIn(b int) {
 		if e := &s.mt.ppmt[pid]; e.base >= lo && e.base < hi {
 			e.base = flash.NilPPN
 			s.mt.baseTS[pid] = 0
-			s.mt.mode[pid] = 0
 		}
 		if e := &s.mt.ppmt[pid]; e.dif >= lo && e.dif < hi {
 			e.dif = flash.NilPPN
@@ -490,6 +485,10 @@ func (s *Store) scanBlocks(blocks []int) error {
 	spare := make([]byte, p.SpareSize)
 	data := make([]byte, p.DataSize)
 	cache := make(map[int][]scannedPage, len(blocks))
+	// poison holds, per pid, the oldest time stamp of a quarantined base
+	// page — the full-scan Recover's threshold for differentials computed
+	// against a lost base image.
+	poison := make(map[uint32]uint64)
 
 	// Phase A1: read every dirty page once and arbitrate base pages. Base
 	// resolution must finish before any differential is judged — a valid
@@ -514,12 +513,7 @@ func (s *Store) scanBlocks(blocks []int) error {
 				continue
 			}
 			// Quarantine pages that fail verification, as the full-scan
-			// recovery does. CAVEAT: unlike the full scan, this path does
-			// NOT poison differentials newer than a quarantined base — a
-			// corrupt base in one dirty block cannot veto a differential
-			// found in another, because blocks are judged independently
-			// here. The window is narrow (both pages must postdate the
-			// checkpoint) but real; the full-scan Recover closes it.
+			// recovery does.
 			if s.integ.verify && h.Type != ftl.TypeCheckpoint &&
 				!ftl.VerifyHeaderChecksum(spare, p.DataSize) {
 				s.itel.headerChecksumFailures.Add(1)
@@ -534,12 +528,14 @@ func (s *Store) scanBlocks(blocks []int) error {
 				if s.integ.verify && len(s.verifyData(data, spare)) > 0 {
 					s.itel.unrecoverablePages.Add(1)
 					pages[pg].quarantined = true
+					if ts, ok := poison[h.PID]; !ok || h.TS < ts {
+						poison[h.PID] = h.TS
+					}
 					continue
 				}
 				if s.mt.ppmt[h.PID].base == flash.NilPPN || h.TS > s.mt.baseTS[h.PID] {
 					s.mt.ppmt[h.PID].base = ppn
 					s.mt.baseTS[h.PID] = h.TS
-					s.mt.mode[h.PID] = h.Mode
 				}
 			case ftl.TypeDiff:
 				if s.integ.verify && len(s.verifyData(data, spare)) > 0 {
@@ -547,7 +543,7 @@ func (s *Store) scanBlocks(blocks []int) error {
 					pages[pg].quarantined = true
 					continue
 				}
-				pages[pg].diffs = diffsOf(data)
+				pages[pg].diffs = diff.DecodeAll(data)
 			}
 		}
 		cache[b] = pages
@@ -580,14 +576,16 @@ func (s *Store) scanBlocks(blocks []int) error {
 			}
 		}
 	}
-	// The adaptive mode invariant, exactly as full-scan Recover applies
-	// it: a valid differential is newer than its base, so the
-	// differential route won whatever tag the base carries. (A no-op for
-	// entries trusted from the checkpoint — the runtime forces mode 0 at
-	// every differential commit, and the checkpoint captured that.)
-	for pid := range s.mt.ppmt {
-		if s.mt.ppmt[pid].dif != flash.NilPPN {
-			s.mt.mode[pid] = 0
+	// A quarantined base newer than the surviving winner poisons every
+	// differential newer than it, exactly as in full-scan Recover: such a
+	// differential was computed against the lost image, and replaying it
+	// onto the older survivor would fabricate page content. The rule is
+	// applied to each pid's final differential, whether it was trusted
+	// from the checkpoint or found by the scan.
+	for pid, pts := range poison {
+		if pts > s.mt.baseTS[pid] && s.mt.ppmt[pid].dif != flash.NilPPN && s.mt.diffTS[pid] > pts {
+			s.mt.ppmt[pid].dif = flash.NilPPN
+			s.mt.diffTS[pid] = 0
 		}
 	}
 

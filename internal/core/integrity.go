@@ -304,7 +304,7 @@ func (s *Store) healCommit(pid uint32, v uint64, img []byte) {
 			ts := s.nextTS()
 			spareBuf := s.chans[ch].spareBuf
 			ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: pid, TS: ts,
-				Seq: s.alloc.SeqOf(s.params.BlockOf(q)), Mode: s.mt.modeOf(pid)}, spareBuf)
+				Seq: s.alloc.SeqOf(s.params.BlockOf(q))}, spareBuf)
 			s.seal(img, spareBuf)
 			if err := s.dev.Program(q, img, spareBuf); err != nil {
 				return err

@@ -340,53 +340,112 @@ func TestIntegrityRecoveryQuarantine(t *testing.T) {
 	}
 }
 
-// TestIntegrityRecoveryPoisonTS crafts the dangerous crash shape by hand:
-// two live base pages for one pid (the obsolete mark of the older never
-// landed) plus a differential computed against the NEWER one. When the
-// newer base is lost to corruption, recovery must NOT replay the
-// differential onto the older survivor — that would fabricate content that
-// never existed.
-func TestIntegrityRecoveryPoisonTS(t *testing.T) {
-	p := ftltest.SmallParams(8)
-	fd := faultdev.Wrap(flash.NewChip(p))
+// legacyModeTag is the value an earlier build wrote into the reserved
+// spare byte 22 of whole-page base pages. Pages sealed with it must still
+// verify and recover as plain base pages.
+const legacyModeTag = 0x4F
 
+// programPoisonShape hand-programs the dangerous crash shape onto fd: two
+// live base pages for pid 0 (the obsolete mark of the older never landed)
+// at ppns[0] (content A, ts 10) and ppns[1] (content B, ts 20), plus a
+// differential (ts 30) computed against the NEWER one at ppns[2]. The
+// older base carries the legacy tag in its reserved byte. It returns
+// content A, the only image recovery may serve once B is lost.
+func programPoisonShape(t *testing.T, fd flash.Device, ppns [3]flash.PPN) []byte {
+	t.Helper()
+	p := fd.Params()
 	oldBase := make([]byte, p.DataSize) // content A, ts 10
 	newBase := make([]byte, p.DataSize) // content B, ts 20
 	for i := range oldBase {
 		oldBase[i] = byte(i)
 		newBase[i] = byte(i) ^ 0x0F
 	}
-	program := func(ppn flash.PPN, data []byte, h ftl.Header) {
+	program := func(ppn flash.PPN, data []byte, h ftl.Header, tag bool) {
 		spare := make([]byte, p.SpareSize)
 		ftl.EncodeHeaderInto(h, spare)
+		if tag {
+			spare[ftl.HeaderSpareBytes-1] = legacyModeTag
+		}
 		ftl.SealSpare(data, spare)
+		if !ftl.VerifyHeaderChecksum(spare, p.DataSize) {
+			t.Fatalf("ppn %d: sealed spare fails its header checksum", ppn)
+		}
 		if err := fd.Program(ppn, data, spare); err != nil {
 			t.Fatal(err)
 		}
 	}
-	program(0, oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1})
-	program(1, newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 1})
+	program(ppns[0], oldBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 10, Seq: 1}, true)
+	program(ppns[1], newBase, ftl.Header{Type: ftl.TypeBase, PID: 0, TS: 20, Seq: 2}, false)
 	// The differential (ts 30) patches bytes 0..3 of the NEW base.
 	d := diff.Differential{PID: 0, TS: 30, Ranges: []diff.Range{{Off: 0, Data: []byte{0xAA, 0xBB, 0xCC, 0xDD}}}}
 	img := d.AppendTo(nil)
 	for len(img) < p.DataSize {
 		img = append(img, 0xFF)
 	}
-	program(2, img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 1})
+	program(ppns[2], img, ftl.Header{Type: ftl.TypeDiff, PID: ftl.NoPID, TS: 30, Seq: 3}, false)
+	return oldBase
+}
 
+// checkPoisonRecovered asserts the recovered store kept the ts-10
+// survivor at want as a plain base page and refused the differential
+// computed against the lost ts-20 base.
+func checkPoisonRecovered(t *testing.T, s *Store, want flash.PPN, content []byte) {
+	t.Helper()
+	e := entryOf(s, 0)
+	if e.base != want {
+		t.Fatalf("recovered base = %d, want the ts-10 survivor at ppn %d", e.base, want)
+	}
+	if e.dif != flash.NilPPN {
+		t.Fatal("poisoned differential was adopted — stale-base fabrication")
+	}
+	mustReadEqual(t, s, 0, content)
+}
+
+// TestIntegrityRecoveryPoisonTS loses the newer base of the poison shape
+// to corruption: full-scan recovery must NOT replay the differential onto
+// the older survivor — that would fabricate content that never existed.
+func TestIntegrityRecoveryPoisonTS(t *testing.T) {
+	fd := faultdev.Wrap(flash.NewChip(ftltest.SmallParams(8)))
+	oldBase := programPoisonShape(t, fd, [3]flash.PPN{0, 1, 2})
 	fd.Inject(faultdev.Fault{PPN: 1, Kind: faultdev.SectorCorrupt, Off: 0})
 	s, err := Recover(fd, 4, Options{ReserveBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := entryOf(s, 0)
-	if e.base != 0 {
-		t.Fatalf("recovered base = %d, want the ts-10 survivor at ppn 0", e.base)
+	checkPoisonRecovered(t, s, 0, oldBase)
+}
+
+// TestIntegrityCheckpointRecoveryPoisonTS is the checkpointed twin: the
+// poison shape is written after the checkpoint, one page in each of
+// three blocks, so the quarantined base and the differential it poisons
+// are found in different dirty blocks of the scan.
+func TestIntegrityCheckpointRecoveryPoisonTS(t *testing.T) {
+	p := ftltest.SmallParams(8)
+	fd := faultdev.Wrap(flash.NewChip(p))
+	opts := Options{ReserveBlocks: 2, CheckpointBlocks: 2}
+	s, err := New(fd, 4, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.dif != flash.NilPPN {
-		t.Fatal("poisoned differential was adopted — stale-base fabrication")
+	if _, err := s.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
 	}
-	mustReadEqual(t, s, 0, oldBase)
+	// The first page of each of the first three blocks outside the
+	// checkpoint region: free at checkpoint time, so all three are dirty.
+	var ppns [3]flash.PPN
+	for b, n := 0, 0; n < len(ppns); b++ {
+		if !s.isCkptBlock(b) {
+			ppns[n] = p.PPNOf(b, 0)
+			n++
+		}
+	}
+	oldBase := programPoisonShape(t, fd, ppns)
+	fd.Inject(faultdev.Fault{PPN: ppns[1], Kind: faultdev.SectorCorrupt, Off: 0})
+	r, err := RecoverWithCheckpoint(fd, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPoisonRecovered(t, r, ppns[0], oldBase)
 }
 
 // TestIntegrityKillMidHealRecovery kills the device on the heal's program

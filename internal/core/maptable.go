@@ -52,12 +52,6 @@ type mapTable struct {
 	ver []uint64
 	// reverseBase maps a base page's PPN back to its pid for GC.
 	reverseBase map[flash.PPN]uint32
-	// mode is each pid's adaptive logging mode (0 differential/PDL,
-	// ftl.ModeTagOPU whole-page) — a pure routing hint for the adaptive
-	// store, mutated only through the committers below so it always
-	// describes the mapping it sits next to. Fixed-method stores leave
-	// it zero. It is versioned like the rest of the entry.
-	mode []uint8
 	// vdct is the valid differential count table: differential page ->
 	// number of valid differentials it holds. Entries are removed the
 	// moment their count reaches zero — a zero count means the page is
@@ -72,7 +66,6 @@ func newMapTable(numPages int) *mapTable {
 		baseTS:      make([]uint64, numPages),
 		diffTS:      make([]uint64, numPages),
 		ver:         make([]uint64, numPages),
-		mode:        make([]uint8, numPages),
 		reverseBase: make(map[flash.PPN]uint32, numPages),
 		vdct:        make(map[flash.PPN]int),
 	}
@@ -103,26 +96,6 @@ func (t *mapTable) stable(pid uint32, v uint64) bool {
 	return cur == v
 }
 
-// modeOf returns pid's current adaptive logging mode.
-func (t *mapTable) modeOf(pid uint32) uint8 {
-	t.mu.RLock()
-	m := t.mode[pid]
-	t.mu.RUnlock()
-	return m
-}
-
-// setMode flips pid's routing mode without touching the mapping — the
-// adaptive probe path uses it when a whole-page-routed pid measures
-// sparse again and its next differential is already buffered. The flip
-// is consistent with recovery because the buffered differential either
-// flushes (setDiffPage re-commits PDL durably) or is superseded by a
-// whole-page write (which re-commits OPU).
-func (t *mapTable) setMode(pid uint32, mode uint8) {
-	t.mu.Lock()
-	t.mode[pid] = mode
-	t.mu.Unlock()
-}
-
 // baseOwner returns the pid whose CURRENT base page is ppn, with its
 // creation time stamp. The reverse-index hit is validated against the
 // forward mapping inside one critical section, so a concurrent
@@ -147,12 +120,11 @@ func (t *mapTable) diffOf(pid uint32) (flash.PPN, uint64) {
 }
 
 // setBasePage commits a writeNewBasePage: pid's base becomes ppn with
-// creation time stamp ts and logging mode mode (0 for fixed-method
-// stores), and any previous base/differential linkage is returned to the
-// caller for release. Caller holds the flash lock.
+// creation time stamp ts, and any previous base/differential linkage is
+// returned to the caller for release. Caller holds the flash lock.
 //
 //pdlvet:holds flash
-func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8) (old pageEntry) {
+func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64) (old pageEntry) {
 	t.mu.Lock()
 	old = t.ppmt[pid]
 	if invariantsEnabled {
@@ -165,7 +137,6 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8)
 	t.ppmt[pid] = pageEntry{base: ppn, dif: flash.NilPPN}
 	t.baseTS[pid] = ts
 	t.diffTS[pid] = 0
-	t.mode[pid] = mode
 	t.reverseBase[ppn] = pid
 	t.ver[pid]++
 	t.mu.Unlock()
@@ -179,9 +150,7 @@ func (t *mapTable) setBasePage(pid uint32, ppn flash.PPN, ts uint64, mode uint8)
 // its merged image to. On false the healed copy at ppn is dead and must
 // be discarded by the caller; the racing mutation (GC relocation; flushes
 // and writes are excluded by the shard lock the healer holds) owns the
-// mapping. The mode hint is deliberately untouched: healing copies the
-// logical content, it does not reroute the pid. Caller holds the flash
-// lock.
+// mapping. Caller holds the flash lock.
 //
 //pdlvet:holds flash
 func (t *mapTable) healBaseTo(pid uint32, v uint64, ppn flash.PPN, ts uint64) (old pageEntry, ok bool) {
@@ -212,24 +181,14 @@ func (t *mapTable) healBaseTo(pid uint32, v uint64, ppn flash.PPN, ts uint64) (o
 // the collector's copy at dst is dead and must be discarded. The
 // creation time stamp is deliberately unchanged: relocation copies
 // content, it does not make it newer.
-//
-// mode is the logging mode the collector emitted the copy in (its
-// GC-driven migration). An OPU migration is refused — demoted back to
-// PDL — while a valid differential is linked: a differential newer than
-// the base always wins at recovery, so committing OPU here would let the
-// in-memory hint diverge from the durable rule.
-func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN, mode uint8) bool {
+func (t *mapTable) relocateBaseFrom(pid uint32, src, dst flash.PPN) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.ppmt[pid].base != src {
 		return false
 	}
-	if mode != 0 && t.ppmt[pid].dif != flash.NilPPN {
-		mode = 0
-	}
 	delete(t.reverseBase, src)
 	t.ppmt[pid].base = dst
-	t.mode[pid] = mode
 	t.reverseBase[dst] = pid
 	t.ver[pid]++
 	return true
@@ -253,10 +212,6 @@ func (t *mapTable) setDiffPage(pid uint32, ppn flash.PPN, ts uint64) (old flash.
 	}
 	t.ppmt[pid].dif = ppn
 	t.diffTS[pid] = ts
-	// A differential commit proves the differential route: it is newer
-	// than the base, so recovery will route the pid PDL — force the
-	// in-memory hint to agree, whatever mode tag the base carries.
-	t.mode[pid] = 0
 	t.vdct[ppn]++
 	t.ver[pid]++
 	t.mu.Unlock()

@@ -137,10 +137,6 @@ type Options struct {
 	// PDL_Reading exactly. The cache is pure DRAM state — never persisted
 	// — so recovery is identical with and without it.
 	DiffCachePages int
-	// Adaptive configures per-page adaptive routing between the
-	// differential (PDL) and whole-page (OPU) routes; see adaptive.go.
-	// Disabled by default, which preserves the paper's fixed method.
-	Adaptive AdaptiveOptions
 	// DisableVerify turns off read-path integrity verification (ECC
 	// checks, single-bit correction, and self-healing; see integrity.go).
 	// Pages are still sealed on program whenever the geometry allows, so
@@ -249,9 +245,6 @@ type Store struct {
 	pages sync.Pool
 	// ckpt is the checkpoint region manager (nil unless enabled).
 	ckpt *ckptRegion
-	// adap is the adaptive routing state (nil unless Options.Adaptive
-	// is enabled); see adaptive.go.
-	adap *adaptiveState
 }
 
 // Telemetry counts PDL-internal events, exposed for analysis and tests.
@@ -300,17 +293,6 @@ type Telemetry struct {
 	// denominator of the paper's flash-operations-per-logical-write
 	// metric; see Store.FlashOpsPerLogicalWrite.
 	LogicalWrites int64
-	// AdaptivePDLRoutes and AdaptiveOPURoutes split LogicalWrites by the
-	// adaptive router's decision: differential path vs whole-page path.
-	// Both stay zero when adaptive routing is off (every write is then
-	// implicitly PDL-routed).
-	AdaptivePDLRoutes, AdaptiveOPURoutes int64
-	// AdaptiveProbes counts density probes: writes of whole-page-routed
-	// hot pids that ran the differential path once to re-measure.
-	AdaptiveProbes int64
-	// AdaptiveModeSwitches counts foreground mode flips (either
-	// direction); GC-driven flips are in ftl.ChannelGCStats.ModeMigrations.
-	AdaptiveModeSwitches int64
 	// EccCorrectedBits counts single-bit flips the spare-area SEC-DED
 	// ECC silently corrected across every verifying read path (foreground
 	// reads, GC relocation reads, recovery scans).
@@ -331,8 +313,7 @@ type Telemetry struct {
 }
 
 // FlashOpsPerLogicalWrite is the paper's cost metric — flash programs and
-// erases per logical page reflection — as measured by the store itself,
-// with the adaptive route split alongside.
+// erases per logical page reflection — as measured by the store itself.
 type FlashOpsPerLogicalWrite struct {
 	// LogicalWrites is the denominator: logical page reflections.
 	LogicalWrites int64 `json:"logical_writes"`
@@ -342,10 +323,6 @@ type FlashOpsPerLogicalWrite struct {
 	Erases   int64 `json:"erases"`
 	// PerWrite is (Programs+Erases)/LogicalWrites, 0 when no writes.
 	PerWrite float64 `json:"per_write"`
-	// PDLRouted and OPURouted split the logical writes by adaptive
-	// route (PDLRouted == LogicalWrites for fixed-method stores).
-	PDLRouted int64 `json:"pdl_routed"`
-	OPURouted int64 `json:"opu_routed"`
 }
 
 // FlashOpsPerLogicalWrite snapshots the paper's cost metric from the
@@ -356,11 +333,6 @@ func (s *Store) FlashOpsPerLogicalWrite() FlashOpsPerLogicalWrite {
 		LogicalWrites: s.wtel.logicalWrites.Load(),
 		Programs:      st.Writes,
 		Erases:        st.Erases,
-		PDLRouted:     s.wtel.pdlRoutes.Load(),
-		OPURouted:     s.wtel.opuRoutes.Load(),
-	}
-	if s.adap == nil {
-		f.PDLRouted = f.LogicalWrites
 	}
 	if f.LogicalWrites > 0 {
 		f.PerWrite = float64(f.Programs+f.Erases) / float64(f.LogicalWrites)
@@ -388,13 +360,9 @@ type writeTelemetry struct {
 	channelFallOvers atomic.Int64
 	batchWrites      atomic.Int64
 	batchedPages     atomic.Int64
-	// logicalWrites and the adaptive route counters are bumped under
-	// shard locks (different shards run concurrently).
+	// logicalWrites is bumped under shard locks (different shards run
+	// concurrently).
 	logicalWrites atomic.Int64
-	pdlRoutes     atomic.Int64
-	opuRoutes     atomic.Int64
-	probes        atomic.Int64
-	modeSwitches  atomic.Int64
 }
 
 var _ ftl.Method = (*Store)(nil)
@@ -459,14 +427,6 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		fits: ftl.IntegrityFits(p.DataSize, p.SpareSize),
 	}
 	s.integ.verify = s.integ.fits && !opts.DisableVerify
-	if opts.Adaptive.Enabled {
-		if p.SpareSize < ftl.HeaderSpareBytes {
-			return nil, fmt.Errorf("core: adaptive routing needs %d spare bytes for the mode tag, device has %d",
-				ftl.HeaderSpareBytes, p.SpareSize)
-		}
-		s.adap = newAdaptiveState(opts.Adaptive, numPages)
-		s.adap.halfBlock = uint32(p.PagesPerBlock) / 2
-	}
 	if cachePages > 0 {
 		s.dcache = newDiffCache(cachePages)
 	}
@@ -564,17 +524,12 @@ func (s *Store) BackgroundGCStats() gc.Stats {
 	return s.gcEng.Stats()
 }
 
-// Name implements ftl.Method, e.g. "PDL(256B)" (or "Adaptive(256B)" when
-// per-page routing is on).
+// Name implements ftl.Method, e.g. "PDL(256B)".
 func (s *Store) Name() string {
-	kind := "PDL"
-	if s.adap != nil {
-		kind = "Adaptive"
-	}
 	if s.maxDiff >= 1024 && s.maxDiff%1024 == 0 {
-		return fmt.Sprintf("%s(%dKB)", kind, s.maxDiff/1024)
+		return fmt.Sprintf("PDL(%dKB)", s.maxDiff/1024)
 	}
-	return fmt.Sprintf("%s(%dB)", kind, s.maxDiff)
+	return fmt.Sprintf("PDL(%dB)", s.maxDiff)
 }
 
 // Device implements ftl.Method.
@@ -703,32 +658,6 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 	defer sh.mu.Unlock()
 	s.wtel.logicalWrites.Add(1)
 
-	// Step 0 (adaptive stores only): the per-page routing decision, taken
-	// BEFORE the base page is read so the whole-page route skips that
-	// read entirely; see adaptive.go.
-	probing := false
-	var mode byte
-	if s.adap != nil {
-		mode = s.mt.modeOf(pid)
-		re, _ := s.mt.snapshot(pid)
-		_, buffered := sh.dwb.get(pid)
-		switch s.adap.route(pid, mode, re.base != flash.NilPPN,
-			re.dif != flash.NilPPN || buffered) {
-		case routeOPU:
-			s.wtel.opuRoutes.Add(1)
-			if mode != ftl.ModeTagOPU {
-				s.wtel.modeSwitches.Add(1)
-			}
-			// A whole-page write supersedes any buffered differential
-			// (it was computed against the base this write replaces).
-			sh.dwb.remove(pid)
-			return s.writeNewBasePageLocked(pid, data, ftl.ModeTagOPU)
-		case routeProbe:
-			probing = true
-			s.wtel.probes.Add(1)
-		}
-	}
-
 	// Step 1: read the base page, without the flash lock. The versioned
 	// snapshot detects a concurrent garbage-collection relocation of the
 	// base page (the only mutation another goroutine can make to this
@@ -744,12 +673,8 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 			// Initial load: no base page exists yet, so there is nothing to
 			// diff against; the logical page itself becomes the base page.
 			// Only the shard-lock holder creates a pid's base page, so the
-			// nil observation cannot be stale. (Adaptive stores rarely get
-			// here — a never-written page is cold and routed whole-page.)
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
-			}
-			return s.writeNewBasePageLocked(pid, data, 0)
+			// nil observation cannot be stale.
+			return s.writeNewBasePageLocked(pid, data)
 		}
 		spare := s.getVerifySpare()
 		stable, bad, err := s.verifiedReadStable(e.base, base, spare, pid, v)
@@ -768,10 +693,7 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 			// superseded with it).
 			sh.dwb.remove(pid)
 			s.itel.pagesHealed.Add(1)
-			if s.adap != nil {
-				s.wtel.pdlRoutes.Add(1)
-			}
-			return s.writeNewBasePageLocked(pid, data, 0)
+			return s.writeNewBasePageLocked(pid, data)
 		}
 		break
 	}
@@ -792,35 +714,9 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 		// newer time stamp supersedes the stale one durably. GC never
 		// creates or destroys a pid's differential linkage — it only moves
 		// it — so the nil observation holds under the shard lock.)
-		if s.adap != nil {
-			s.wtel.pdlRoutes.Add(1)
-		}
 		return nil
 	}
 	size := d.EncodedSize()
-	if s.adap != nil {
-		if dense := s.adap.noteDensity(pid, size, s.params.DataSize); dense ||
-			s.adap.cut(size, s.params.DataSize) {
-			// The measured differential confirms the page is dense (EWMA)
-			// or this one write is past the instantaneous cut: the
-			// differential route costs as much here as resetting the
-			// escalation outright, so write the page whole.
-			s.wtel.opuRoutes.Add(1)
-			if mode != ftl.ModeTagOPU {
-				s.wtel.modeSwitches.Add(1)
-			}
-			return s.writeNewBasePageLocked(pid, data, ftl.ModeTagOPU)
-		}
-		s.wtel.pdlRoutes.Add(1)
-		if probing {
-			// The probe measured sparse: back to the differential route.
-			// The buffered differential below either flushes (setDiffPage
-			// re-commits PDL durably) or is superseded by a later
-			// whole-page write, so the early flip stays consistent.
-			s.wtel.modeSwitches.Add(1)
-			s.mt.setMode(pid, 0)
-		}
-	}
 	switch {
 	case size <= sh.dwb.free(): // Case 1
 		sh.dwb.add(d)
@@ -830,25 +726,23 @@ func (s *Store) WritePage(pid uint32, data []byte) error {
 		}
 		sh.dwb.add(d)
 	default: // Case 3
-		return s.writeNewBasePageLocked(pid, data, 0)
+		return s.writeNewBasePageLocked(pid, data)
 	}
 	return nil
 }
 
 // writeNewBasePageLocked takes the flash lock shared, picks the channel
 // (the pid's shard's home, with fall-over), takes its channel lock, and
-// writes pid's new base page in logging mode mode (0 for the fixed
-// method, ftl.ModeTagOPU for the adaptive whole-page route). The caller
-// holds the pid's shard lock.
+// writes pid's new base page. The caller holds the pid's shard lock.
 //
 //pdlvet:holds shard
-func (s *Store) writeNewBasePageLocked(pid uint32, data []byte, mode byte) error {
+func (s *Store) writeNewBasePageLocked(pid uint32, data []byte) error {
 	s.flashMu.RLock()
 	defer s.flashMu.RUnlock()
 	return s.writeOnSomeChannel(s.shardIndex(pid),
 		//pdlvet:holds shard,flash,channel
 		func(ch int) error {
-			return s.writeNewBasePage(pid, data, ch, mode)
+			return s.writeNewBasePage(pid, data, ch)
 		})
 }
 
@@ -1100,12 +994,11 @@ func newestFor(recs []diff.Differential, pid uint32) (diff.Differential, bool) {
 
 // writeNewBasePage implements the writingNewBasePage procedure (Figure 8):
 // the logical page itself is written into a newly allocated base page on
-// channel ch — carrying mode in its spare-area tag — the old base page is
-// set obsolete, and any old differential is released. The caller holds
+// channel ch, the old base page is set obsolete, and any old differential is released. The caller holds
 // the flash lock shared, channel ch's lock, and the pid's shard lock.
 //
 //pdlvet:holds shard,flash,channel
-func (s *Store) writeNewBasePage(pid uint32, data []byte, ch int, mode byte) error {
+func (s *Store) writeNewBasePage(pid uint32, data []byte, ch int) error {
 	q, err := s.allocPageOn(ch)
 	if err != nil {
 		return err
@@ -1113,13 +1006,13 @@ func (s *Store) writeNewBasePage(pid uint32, data []byte, ch int, mode byte) err
 	ts := s.nextTS()
 	spareBuf := s.chans[ch].spareBuf
 	ftl.EncodeHeaderInto(ftl.Header{Type: ftl.TypeBase, PID: pid, TS: ts,
-		Seq: s.alloc.SeqOf(s.params.BlockOf(q)), Mode: mode}, spareBuf)
+		Seq: s.alloc.SeqOf(s.params.BlockOf(q))}, spareBuf)
 	s.seal(data, spareBuf)
 	if err := s.dev.Program(q, data, spareBuf); err != nil {
 		return fmt.Errorf("core: writing base page of pid %d: %w", pid, err)
 	}
 	s.wtel.newBasePages.Add(1)
-	old := s.mt.setBasePage(pid, q, ts, mode)
+	old := s.mt.setBasePage(pid, q, ts)
 	if old.base != flash.NilPPN {
 		if err := s.alloc.MarkObsoleteFrom(old.base, ch); err != nil {
 			return err
@@ -1276,10 +1169,6 @@ func (s *Store) Telemetry() Telemetry {
 	t.BatchReads = s.rtel.batchReads.Load()
 	t.BatchedReads = s.rtel.batchedReads.Load()
 	t.LogicalWrites = s.wtel.logicalWrites.Load()
-	t.AdaptivePDLRoutes = s.wtel.pdlRoutes.Load()
-	t.AdaptiveOPURoutes = s.wtel.opuRoutes.Load()
-	t.AdaptiveProbes = s.wtel.probes.Load()
-	t.AdaptiveModeSwitches = s.wtel.modeSwitches.Load()
 	t.EccCorrectedBits = s.itel.eccCorrectedBits.Load()
 	t.PagesHealed = s.itel.pagesHealed.Load()
 	t.UnrecoverablePages = s.itel.unrecoverablePages.Load()

@@ -85,7 +85,6 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 			if s.mt.ppmt[pid].base == flash.NilPPN || c.ts > s.mt.baseTS[pid] {
 				s.mt.ppmt[pid].base = c.ppn
 				s.mt.baseTS[pid] = c.ts
-				s.mt.mode[pid] = c.mode
 			}
 		}
 	}
@@ -123,13 +122,6 @@ func Recover(dev flash.Device, numPages int, opts Options) (*Store, error) {
 	}
 	maxTS := s.ts.Load()
 	for pid := range s.mt.ppmt {
-		if s.mt.ppmt[pid].dif != flash.NilPPN {
-			// The adaptive mode invariant: a valid differential is newer
-			// than its base, so the differential route won — whatever
-			// mode tag the base page carries (a GC tag-only migration may
-			// have raced the flush that committed this differential).
-			s.mt.mode[pid] = 0
-		}
 		if s.mt.ppmt[pid].base != flash.NilPPN {
 			s.mt.reverseBase[s.mt.ppmt[pid].base] = uint32(pid)
 			if s.mt.baseTS[pid] > maxTS {
@@ -254,9 +246,6 @@ type pageInfo struct {
 type candidate struct {
 	ppn flash.PPN
 	ts  uint64
-	// mode is the base page's logging-mode tag (unused for differential
-	// candidates, which always imply differential mode).
-	mode byte
 }
 
 // scanResult is one worker's private reduction of its block range: the
@@ -344,7 +333,7 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 					continue
 				}
 				if c, ok := res.bases[h.PID]; !ok || h.TS > c.ts {
-					res.bases[h.PID] = candidate{ppn: ppn, ts: h.TS, mode: h.Mode}
+					res.bases[h.PID] = candidate{ppn: ppn, ts: h.TS}
 				}
 			case ftl.TypeDiff:
 				if s.integ.verify && len(s.verifyData(data, spare)) > 0 {

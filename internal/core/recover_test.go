@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pdl/internal/flash"
+	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
 )
 
@@ -329,4 +330,211 @@ func recordVersions(shadow [][]byte) []map[[32]byte]bool {
 
 func recordVersion(vs []map[[32]byte]bool, pid int, content []byte) {
 	vs[pid][hash(content)] = true
+}
+
+// mixedUpdates runs rounds of two page populations: pids 0-3 take sparse
+// updates of a fixed 8-byte window each (cumulative differentials stay
+// small: Cases 1 and 2), pids 4-7 are rewritten whole (Case 3). With
+// batch set every round is one WriteBatch, otherwise serial WritePages.
+func mixedUpdates(t *testing.T, s *Store, shadow [][]byte, rounds int, seed int64, batch bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for r := 0; r < rounds; r++ {
+		var writes []ftl.PageWrite
+		for pid := 0; pid < 8; pid++ {
+			if pid < 4 {
+				rng.Read(shadow[pid][8*pid : 8*pid+8])
+			} else {
+				rng.Read(shadow[pid])
+			}
+			writes = append(writes, ftl.PageWrite{PID: uint32(pid), Data: shadow[pid]})
+		}
+		if batch {
+			if err := s.WriteBatch(writes); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		for _, w := range writes {
+			if err := s.WritePage(w.PID, w.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// assertRecoveredLikeLive fails unless the recovered store r reproduces
+// the flushed live store s exactly: content, mapping and time stamps.
+func assertRecoveredLikeLive(t *testing.T, s, r *Store) {
+	t.Helper()
+	a := make([]byte, s.params.DataSize)
+	b := make([]byte, s.params.DataSize)
+	for pid := 0; pid < s.numPages; pid++ {
+		if err := s.ReadPage(uint32(pid), a); err != nil {
+			t.Fatalf("pid %d: live read: %v", pid, err)
+		}
+		if err := r.ReadPage(uint32(pid), b); err != nil {
+			t.Fatalf("pid %d: recovered read: %v", pid, err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("pid %d: recovered content differs", pid)
+		}
+		if se, re := s.mt.ppmt[pid], r.mt.ppmt[pid]; se != re {
+			t.Fatalf("pid %d: mapping differs: live %+v recovered %+v", pid, se, re)
+		}
+		if s.mt.baseTS[pid] != r.mt.baseTS[pid] || s.mt.diffTS[pid] != r.mt.diffTS[pid] {
+			t.Fatalf("pid %d: time stamps differ", pid)
+		}
+	}
+}
+
+// TestRecoveryReproducesLiveState checks that both recovery engines
+// rebuild a cleanly flushed store exactly — same mapping, same time
+// stamps, same content — after a mix of differential (Cases 1 and 2)
+// and whole-page (Case 3) writes through either write path, with half
+// of the traffic landing after the checkpoint.
+func TestRecoveryReproducesLiveState(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		name := "WritePage"
+		if batch {
+			name = "WriteBatch"
+		}
+		t.Run(name, func(t *testing.T) {
+			const numPages = 16
+			opts := Options{MaxDifferentialSize: 64, ReserveBlocks: 2, CheckpointBlocks: 4}
+			chip := flash.NewChip(ftltest.SmallParams(24))
+			s, err := New(chip, numPages, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := loadInto(t, s, numPages)
+			mixedUpdates(t, s, shadow, 10, 13, batch)
+			if _, err := s.WriteCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			mixedUpdates(t, s, shadow, 10, 14, batch)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// The comparison below is only interesting if the workload
+			// left both shapes behind: differential linkages on the
+			// sparse pids and bare base pages on the rewritten ones.
+			for pid := 0; pid < 8; pid++ {
+				if hasDif := s.mt.ppmt[pid].dif != flash.NilPPN; hasDif != (pid < 4) {
+					t.Fatalf("pid %d: differential linkage = %v after the workload", pid, hasDif)
+				}
+			}
+			for pid := 0; pid < numPages; pid++ {
+				mustReadEqual(t, s, uint32(pid), shadow[pid])
+			}
+			full, err := Recover(chip, numPages, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecoveredLikeLive(t, s, full)
+			fast, err := RecoverWithCheckpoint(chip, numPages, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecoveredLikeLive(t, s, fast)
+		})
+	}
+}
+
+// buildCollectionScenario loads 14 pages into block 0, gives pids 0-3
+// flushed differentials and rewrites pids 0-1 whole, so block 0 holds
+// live base pages next to obsolete ones and differential pages elsewhere
+// hold live records. Everything is flushed: the durable state is exactly
+// the returned shadow.
+func buildCollectionScenario(t *testing.T) (*Store, *flash.Chip, [][]byte) {
+	t.Helper()
+	chip := flash.NewChip(ftltest.SmallParams(16))
+	s, err := New(chip, 14, Options{MaxDifferentialSize: 64, ReserveBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := loadInto(t, s, 14)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 8; i++ {
+		for pid := 0; pid < 4; pid++ {
+			rng.Read(shadow[pid][8*pid : 8*pid+8])
+			if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for pid := 0; pid < 2; pid++ {
+		rng.Read(shadow[pid])
+		if err := s.WritePage(uint32(pid), shadow[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return s, chip, shadow
+}
+
+// collectUntilRelocation runs foreground collections until one relocates
+// live pages, returning the chip's operation count (programs + erases)
+// before that collection started and after it finished.
+func collectUntilRelocation(t *testing.T, s *Store, chip *flash.Chip) (before, after int64) {
+	t.Helper()
+	ops := func() int64 { st := chip.Stats(); return st.Writes + st.Erases }
+	for i := 0; i < 8; i++ {
+		moved, o0 := s.alloc.ChannelGC(0).PagesMoved, ops()
+		collected, err := s.alloc.CollectOnceOn(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !collected {
+			break
+		}
+		if s.alloc.ChannelGC(0).PagesMoved > moved {
+			return o0, ops()
+		}
+	}
+	t.Fatal("no collection relocated live pages; scenario needs retuning")
+	return 0, 0
+}
+
+// TestKillMidCollectionRecoversIdentically cuts the power at every
+// operation of a collection that relocates live base pages and compacts
+// differentials: relocation only moves content, so every recovery must
+// reproduce the flushed state byte-identically.
+func TestKillMidCollectionRecoversIdentically(t *testing.T) {
+	s, chip, _ := buildCollectionScenario(t)
+	before, after := collectUntilRelocation(t, s, chip)
+	if after <= before {
+		t.Fatalf("empty collection window [%d, %d]", before, after)
+	}
+	for k := before + 1; k <= after; k++ {
+		s, chip, shadow := buildCollectionScenario(t)
+		base := chip.Stats()
+		chip.SchedulePowerFailure(k - (base.Writes + base.Erases))
+		var failed bool
+		for i := 0; i < 8 && !failed; i++ {
+			_, err := s.alloc.CollectOnceOn(0)
+			failed = chip.PowerFailed()
+			if err != nil && !errors.Is(err, flash.ErrPowerLoss) {
+				t.Fatalf("kill point %d: unexpected error: %v", k, err)
+			}
+		}
+		if !failed {
+			t.Fatalf("kill point %d: power failure never fired", k)
+		}
+		r, err := Recover(chip, 14, Options{MaxDifferentialSize: 64, ReserveBlocks: 2})
+		if err != nil {
+			t.Fatalf("kill point %d: recovery failed: %v", k, err)
+		}
+		buf := make([]byte, len(shadow[0]))
+		for pid := 0; pid < 14; pid++ {
+			if err := r.ReadPage(uint32(pid), buf); err != nil {
+				t.Fatalf("kill point %d, pid %d: %v", k, pid, err)
+			}
+			if !bytes.Equal(buf, shadow[pid]) {
+				t.Fatalf("kill point %d, pid %d: recovered content differs from durable state", k, pid)
+			}
+		}
+	}
 }

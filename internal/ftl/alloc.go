@@ -106,7 +106,6 @@ type allocChan struct {
 	runs           atomic.Int64
 	pagesMoved     atomic.Int64
 	coldMigrations atomic.Int64
-	modeMigrations atomic.Int64
 
 	// freeCount mirrors len(freeList) atomically so watermark monitors
 	// and cross-channel pressure checks read it without this channel's
@@ -145,10 +144,6 @@ type ChannelGCStats struct {
 	// cold block (hot/cold separation at work); the rest rode the hot
 	// append point.
 	ColdMigrations int64 `json:"cold_migrations"`
-	// ModeMigrations is how many relocated base pages the adaptive
-	// method re-emitted in a different logging mode than they were
-	// stored in (PDL<->OPU migration riding the relocation for free).
-	ModeMigrations int64 `json:"mode_migrations"`
 }
 
 // Allocator hands out free flash pages in append order and reclaims space
@@ -396,15 +391,7 @@ func (a *Allocator) ChannelGC(ch int) ChannelGCStats {
 		Runs:           c.runs.Load(),
 		PagesMoved:     c.pagesMoved.Load(),
 		ColdMigrations: c.coldMigrations.Load(),
-		ModeMigrations: c.modeMigrations.Load(),
 	}
-}
-
-// NoteModeMigration records that a garbage-collection relocation on
-// channel ch re-emitted a base page in a different logging mode. Called
-// by the adaptive store's relocation callback; safe from any goroutine.
-func (a *Allocator) NoteModeMigration(ch int) {
-	a.chans[ch].modeMigrations.Add(1)
 }
 
 // MinVictimRounds returns the minimum number of times any single block has
@@ -449,7 +436,6 @@ func (a *Allocator) ResetGCStats() {
 		c.runs.Store(0)
 		c.pagesMoved.Store(0)
 		c.coldMigrations.Store(0)
-		c.modeMigrations.Store(0)
 	}
 }
 

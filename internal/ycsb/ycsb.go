@@ -164,8 +164,8 @@ func (r Result) OpsPerSecond() float64 {
 // theta < 1, which is exactly the regime YCSB's default (0.99) lives in.
 // A Zipfian is immutable after construction and safe to share across
 // clients, each drawing with its own rand.Rand. It is exported so other
-// workload generators (the adaptive-method benchmark) can reuse the
-// tuned-skew machinery behind the -theta flag.
+// workload generators (the perfbench page and kv workloads) can reuse the
+// tuned-skew machinery.
 type Zipfian struct {
 	n     uint64
 	theta float64

@@ -273,13 +273,10 @@ var (
 // Store is a page-differential logging store (the paper's contribution).
 type Store = core.Store
 
-// Options configures a PDL store.
+// Options configures a PDL store. Every store writes with the paper's
+// one fixed method, PDL_Writing: a differential that outgrows
+// Options.MaxDifferentialSize is written as a whole new base page.
 type Options = core.Options
-
-// AdaptiveOptions configures Options.Adaptive: per-page routing between
-// differential (PDL) and whole-page out-of-place (OPU) writes, driven by
-// a per-page heat/density tracker, with GC migrating modes tag-only.
-type AdaptiveOptions = core.AdaptiveOptions
 
 // Open builds a PDL store for a database of numPages logical pages over a
 // fresh device (emulated or file-backed). Use Recover to rebuild a store

@@ -532,8 +532,8 @@ func runBatch(g bench.Geometry, backend, path string, batchSize, ops int, assert
 
 // runRead runs bench.ExpRead: the identical hot random-read workload over
 // a database in which every page carries a flushed differential, served
-// with the paper's two-read PDL_Reading (cache-off), with the decoded-
-// differential cache (cache-on), and through batched ReadBatch calls
+// with the paper's two-read PDL_Reading (cache-off), with the
+// differential-page cache (cache-on), and through batched ReadBatch calls
 // (batch). The headline column is reads/op: the cache cuts the two serial
 // flash reads per hot diff-bearing read to one, which halves the simulated
 // I/O time per read — the deterministic form of the >=2x hot-read

@@ -7,17 +7,15 @@ import "sync"
 
 type PPN uint32
 
-type Differential struct{}
-
 type diffCache struct {
 	mu  sync.Mutex
 	gen uint64
 }
 
-func (c *diffCache) genSnapshot() uint64                              { return c.gen }
-func (c *diffCache) get(p PPN) ([]Differential, bool)                 { return nil, false }
-func (c *diffCache) put(p PPN, recs []Differential, genBefore uint64) {}
-func (c *diffCache) invalidate(p PPN)                                 {}
+func (c *diffCache) genSnapshot() uint64                     { return c.gen }
+func (c *diffCache) get(p PPN) ([]byte, bool)                { return nil, false }
+func (c *diffCache) put(p PPN, img []byte, genBefore uint64) {}
+func (c *diffCache) invalidate(p PPN)                        {}
 
 type mapTable struct{ mu sync.Mutex }
 
@@ -31,27 +29,27 @@ type Store struct {
 }
 
 // goodFencedPut is the read path's idiom: snapshot, read, insert.
-func (s *Store) goodFencedPut(p PPN, recs []Differential) {
+func (s *Store) goodFencedPut(p PPN, img []byte) {
 	gen := s.dcache.genSnapshot()
-	s.dcache.put(p, recs, gen)
+	s.dcache.put(p, img, gen)
 }
 
-func (s *Store) goodInlinePut(p PPN, recs []Differential) {
-	s.dcache.put(p, recs, s.dcache.genSnapshot())
+func (s *Store) goodInlinePut(p PPN, img []byte) {
+	s.dcache.put(p, img, s.dcache.genSnapshot())
 }
 
 // goodParamPut trusts a fence threaded down from the caller.
-func (s *Store) goodParamPut(p PPN, recs []Differential, gen uint64) {
-	s.dcache.put(p, recs, gen)
+func (s *Store) goodParamPut(p PPN, img []byte, gen uint64) {
+	s.dcache.put(p, img, gen)
 }
 
-func (s *Store) badConstPut(p PPN, recs []Differential) {
-	s.dcache.put(p, recs, 0) // want `diff-cache put without a generation fence`
+func (s *Store) badConstPut(p PPN, img []byte) {
+	s.dcache.put(p, img, 0) // want `diff-cache put without a generation fence`
 }
 
-func (s *Store) badLatePut(p PPN, recs []Differential) {
+func (s *Store) badLatePut(p PPN, img []byte) {
 	var gen uint64
-	s.dcache.put(p, recs, gen) // want `diff-cache put uses a generation snapshotted after the insert point`
+	s.dcache.put(p, img, gen) // want `diff-cache put uses a generation snapshotted after the insert point`
 	gen = s.dcache.genSnapshot()
 	_ = gen
 }

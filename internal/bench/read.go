@@ -14,7 +14,7 @@ import (
 // ReadPoint is one measured mode of the hot-read experiment: the same
 // read-mostly workload over a diff-bearing database, with PDL_Reading's
 // second flash read either paid on every read ("cache-off", the paper's
-// algorithm), absorbed by the decoded-differential cache ("cache-on"), or
+// algorithm), absorbed by the differential-page cache ("cache-on"), or
 // additionally batched through Store.ReadBatch ("batch").
 type ReadPoint struct {
 	// Mode is "cache-off", "cache-on", or "batch".
@@ -29,7 +29,7 @@ type ReadPoint struct {
 	// Flash is the device-stats delta of the measured phase; Flash.Reads
 	// divided by Ops is the headline column.
 	Flash flash.Stats
-	// CacheHits and CacheMisses are the decoded-differential cache
+	// CacheHits and CacheMisses are the differential-page cache
 	// telemetry deltas.
 	CacheHits, CacheMisses int64
 	// BatchReads and BatchedReads are the device read-batch telemetry
@@ -69,8 +69,8 @@ func (p ReadPoint) SimMicrosPerOp() float64 {
 // differential (the paper's worst case for reading: base page + diff page
 // on every cold read), then serves the identical hot random-read workload;
 // what changes is only how the differential half of PDL_Reading is paid.
-// The hot set is capped so its differential pages fit the default decoded-
-// differential cache, modeling a hot working set over a larger database.
+// The hot set is capped so its differential pages fit the default
+// differential-page cache, modeling a hot working set over a larger database.
 // modes selects which of "cache-off", "cache-on", "batch" run (all three
 // when empty).
 func ExpRead(g Geometry, maxDiff, ops, batchSize int, modes ...string) ([]ReadPoint, error) {

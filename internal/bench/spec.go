@@ -69,7 +69,7 @@ func (s MethodSpec) Build(dev flash.Device, numPages int) (ftl.Method, error) {
 			Shards:              s.Shards,
 			// The paper-reproduction experiments measure PDL_Reading as
 			// published — two flash reads for a diff-bearing page — so the
-			// decoded-differential cache is pinned off here; -exp read
+			// differential-page cache is pinned off here; -exp read
 			// measures the cache's effect explicitly.
 			DiffCachePages: core.DiffCacheOff,
 		})

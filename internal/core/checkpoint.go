@@ -467,10 +467,16 @@ func (s *Store) invalidateEntriesIn(b int) {
 type scannedPage struct {
 	hdr   ftl.Header
 	torn  bool
-	diffs []diff.Differential // decoded contents of a differential page
+	diffs []pidTS // the records of a differential page, as arbitration sees them
 	// quarantined marks a page that failed integrity verification; it is
 	// excluded from arbitration and counted obsolete in phase B.
 	quarantined bool
+}
+
+// pidTS is what recovery arbitration needs of one differential record.
+type pidTS struct {
+	pid uint32
+	ts  uint64
 }
 
 // scanBlocks runs the Figure-11 arbitration over the pages of the given
@@ -543,7 +549,9 @@ func (s *Store) scanBlocks(blocks []int) error {
 					pages[pg].quarantined = true
 					continue
 				}
-				pages[pg].diffs = diff.DecodeAll(data)
+				for rec, rest, ok := diff.NextRecord(data); ok; rec, rest, ok = diff.NextRecord(rest) {
+					pages[pg].diffs = append(pages[pg].diffs, pidTS{pid: rec.PID(), ts: rec.TS()})
+				}
 			}
 		}
 		cache[b] = pages
@@ -563,15 +571,15 @@ func (s *Store) scanBlocks(blocks []int) error {
 			}
 			ppn := p.PPNOf(b, pg)
 			for _, d := range sp.diffs {
-				if int(d.PID) >= s.numPages {
+				if int(d.pid) >= s.numPages {
 					continue
 				}
-				if s.mt.ppmt[d.PID].base == flash.NilPPN || d.TS <= s.mt.baseTS[d.PID] {
+				if s.mt.ppmt[d.pid].base == flash.NilPPN || d.ts <= s.mt.baseTS[d.pid] {
 					continue
 				}
-				if s.mt.ppmt[d.PID].dif == flash.NilPPN || d.TS > s.mt.diffTS[d.PID] {
-					s.mt.ppmt[d.PID].dif = ppn
-					s.mt.diffTS[d.PID] = d.TS
+				if s.mt.ppmt[d.pid].dif == flash.NilPPN || d.ts > s.mt.diffTS[d.pid] {
+					s.mt.ppmt[d.pid].dif = ppn
+					s.mt.diffTS[d.pid] = d.ts
 				}
 			}
 		}

@@ -34,8 +34,16 @@ func (s *Store) relocate(victim int) error {
 
 	// Pass 1: move valid base pages and collect valid differentials.
 	// Base pages move first so that the second pass never packs a
-	// differential whose base page is about to disappear.
+	// differential whose base page is about to disappear. Survivors stay
+	// in wire form, aliasing the victim pages read here, which therefore
+	// go back to the pool only once compaction is done.
 	var keep []pendingDiff
+	var pages [][]byte
+	defer func() {
+		for _, pg := range pages {
+			s.putPage(pg)
+		}
+	}()
 	for i := 0; i < p.PagesPerBlock; i++ {
 		ppn := p.PPNOf(victim, i)
 		if pid, ts, ok := s.mt.baseOwner(ppn); ok {
@@ -45,17 +53,15 @@ func (s *Store) relocate(victim int) error {
 			continue
 		}
 		if s.mt.diffCount(ppn) > 0 {
-			ds, err := s.validDifferentials(ppn)
-			if err != nil {
+			pages = append(pages, s.getPage())
+			var err error
+			if keep, err = s.validDifferentials(ppn, pages[len(pages)-1], keep); err != nil {
 				return err
-			}
-			for _, d := range ds {
-				keep = append(keep, pendingDiff{d: d, src: ppn})
 			}
 			s.mt.dropDiffPage(ppn)
 			// The page is being compacted away and its block erased:
 			// readers will be repointed (and their version checks fail),
-			// so the cached decode must go before the PPN can be reused.
+			// so the cached image must go before the PPN can be reused.
 			s.dcache.invalidate(ppn)
 		}
 	}
@@ -64,12 +70,12 @@ func (s *Store) relocate(victim int) error {
 	// pages, packing as many as fit per page.
 	for len(keep) > 0 {
 		n, used := 0, 0
-		for n < len(keep) && used+keep[n].d.EncodedSize() <= p.DataSize {
-			used += keep[n].d.EncodedSize()
+		for n < len(keep) && used+len(keep[n].rec) <= p.DataSize {
+			used += len(keep[n].rec)
 			n++
 		}
 		if n == 0 {
-			return fmt.Errorf("core: differential of pid %d too large to compact", keep[0].d.PID)
+			return fmt.Errorf("core: differential of pid %d too large to compact", keep[0].rec.PID())
 		}
 		if err := s.writeCompactedPage(keep[:n], ch); err != nil {
 			return err
@@ -79,12 +85,12 @@ func (s *Store) relocate(victim int) error {
 	return nil
 }
 
-// pendingDiff is one surviving differential queued for compaction,
-// remembering the victim page it came from so the repoint can verify
-// the mapping still points there (a writer on another channel may have
-// flushed a newer differential mid-collection).
+// pendingDiff is one surviving differential queued for compaction — its
+// record bytes, moved verbatim — and the victim page it came from, so the
+// repoint can verify the mapping still points there (a writer on another
+// channel may have flushed a newer differential mid-collection).
 type pendingDiff struct {
-	d   diff.Differential
+	rec diff.Record
 	src flash.PPN
 }
 
@@ -113,7 +119,7 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 		err   error
 	)
 	if s.integ.fits {
-		spare = s.spares.Get().([]byte)
+		spare = s.spares.Get(p.SpareSize)
 		defer s.putVerifySpare(spare)
 		if s.integ.verify {
 			bad, err = s.verifiedRead(ppn, scratch, spare)
@@ -158,50 +164,45 @@ func (s *Store) relocateBasePage(pid uint32, ts uint64, ppn flash.PPN, ch int) e
 	return nil
 }
 
-// validDifferentials reads a differential page and returns the
-// differentials that are still current (the mapping table still points at
-// this page for their pid).
+// validDifferentials reads differential page ppn into page, a scratch
+// the caller keeps until compaction is done, and appends to keep the
+// records that are still current (the mapping table still points at this
+// page for their pid), walked in place.
 //
 // The read is verified: an uncorrectably corrupt victim page is healed
-// from the decoded-differential cache when its records are still there
-// (an exact decode of the page's current content, validated against the
+// from the differential-page cache when its image is still there (an
+// exact copy of the page's current content, validated against the
 // mapping below like any other), and otherwise fails the collection
 // loudly with the typed error — silently compacting garbage records, or
 // silently dropping the page's survivors, would turn into wrong reads
 // later.
 //
 //pdlvet:holds flash
-func (s *Store) validDifferentials(ppn flash.PPN) ([]diff.Differential, error) {
-	scratch := s.getPage()
-	defer s.putPage(scratch)
+func (s *Store) validDifferentials(ppn flash.PPN, page []byte, keep []pendingDiff) ([]pendingDiff, error) {
 	spare := s.getVerifySpare()
-	bad, err := s.verifiedRead(ppn, scratch, spare)
+	bad, err := s.verifiedRead(ppn, page, spare)
 	s.putVerifySpare(spare)
 	if err != nil {
-		return nil, err
+		return keep, err
 	}
-	var recs []diff.Differential
 	if len(bad) > 0 {
 		cached, ok := s.dcache.get(ppn)
 		if !ok {
 			s.itel.unrecoverablePages.Add(1)
-			return nil, &ftl.PageError{PID: ftl.NoPID, PPN: ppn, Kind: ftl.CorruptDiff}
+			return keep, &ftl.PageError{PID: ftl.NoPID, PPN: ppn, Kind: ftl.CorruptDiff}
 		}
 		s.itel.pagesHealed.Add(1)
-		recs = cached
-	} else {
-		recs = diff.DecodeAll(scratch)
+		copy(page, cached)
 	}
-	var out []diff.Differential
-	for _, d := range recs {
-		if int(d.PID) >= s.numPages {
+	for rec, rest, ok := diff.NextRecord(page); ok; rec, rest, ok = diff.NextRecord(rest) {
+		if int(rec.PID()) >= s.numPages {
 			continue
 		}
-		if dif, ts := s.mt.diffOf(d.PID); dif == ppn && ts == d.TS {
-			out = append(out, d)
+		if dif, ts := s.mt.diffOf(rec.PID()); dif == ppn && ts == rec.TS() {
+			keep = append(keep, pendingDiff{rec: rec, src: ppn})
 		}
 	}
-	return out, nil
+	return keep, nil
 }
 
 // writeCompactedPage writes a batch of surviving differentials into a new
@@ -222,7 +223,7 @@ func (s *Store) writeCompactedPage(ds []pendingDiff, ch int) error {
 	defer s.putPage(scratch)
 	img := scratch[:0]
 	for _, pd := range ds {
-		img = pd.d.AppendTo(img)
+		img = append(img, pd.rec...)
 	}
 	for len(img) < p.DataSize {
 		img = append(img, 0xFF)
@@ -235,11 +236,11 @@ func (s *Store) writeCompactedPage(ds []pendingDiff, ch int) error {
 		return err
 	}
 	// q begins a new life as a compaction target: fence off any cached
-	// decode of its previous life before the repoints publish it.
+	// image of its previous life before the repoints publish it.
 	s.dcache.invalidate(q)
 	live := 0
 	for _, pd := range ds {
-		if s.mt.repointDiffFrom(pd.d.PID, pd.src, q, pd.d.TS) {
+		if s.mt.repointDiffFrom(pd.rec.PID(), pd.src, q, pd.rec.TS()) {
 			live++
 		}
 	}

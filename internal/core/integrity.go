@@ -26,18 +26,19 @@
 //     delta against the lost base, so no durable base can be written
 //     until it flushes); if it does not cover, the uncovered bytes are
 //     unrecoverable (they equal the lost base's) -> PageError.
-//  2. no buffered differential, but a differential page is linked: take
-//     its records from the decoded cache or a verified read; if the
-//     newest record covers every corrupt byte, apply it — buf is then
+//  2. no buffered differential, but a differential page is linked: find
+//     its newest record in place, in the cached page image or a verified
+//     read (only that record is decoded, for the coverage check); if it
+//     covers every corrupt byte, apply it — buf is then
 //     the current logical page — and make the heal durable: program the
 //     merged image as a new base page and repoint the mapping with a
 //     fresh time stamp, releasing the old base and differential.
 //  3. otherwise -> PageError{pid, ppn, CorruptBase}.
 //
 // A corrupt DIFFERENTIAL page on a foreground read has no redundant
-// source left by construction (the write buffer and decoded cache are
+// source left by construction (the write buffer and the cache are
 // consulted before the flash read) -> PageError{pid, ppn, CorruptDiff}.
-// During GC compaction the decoded cache can still rescue it (gc.go),
+// During GC compaction the cached page image can still rescue it (gc.go),
 // and a whole-page write heals either kind by overwrite.
 package core
 
@@ -76,13 +77,13 @@ func (s *Store) getVerifySpare() []byte {
 	if !s.integ.verify {
 		return nil
 	}
-	return s.spares.Get().([]byte)
+	return s.spares.Get(s.params.SpareSize)
 }
 
 // putVerifySpare returns a verify scratch to the pool (nil is a no-op).
 func (s *Store) putVerifySpare(b []byte) {
 	if b != nil {
-		s.spares.Put(b) //nolint:staticcheck // []byte header alloc is fine here
+		s.spares.Put(b)
 	}
 }
 
@@ -241,16 +242,16 @@ func (s *Store) healBaseRead(sh *shard, pid uint32, e pageEntry, v uint64, buf [
 		s.itel.unrecoverablePages.Add(1)
 		return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
 	}
-	recs, ok := s.dcache.get(e.dif)
+	img, ok := s.dcache.get(e.dif)
 	if ok {
 		if !s.mt.stable(pid, v) {
 			return false, nil
 		}
 	} else {
-		scratch := s.getPage()
-		defer s.putPage(scratch)
+		img = s.getPage()
+		defer s.putPage(img)
 		spare := s.getVerifySpare()
-		stable, dbad, err := s.verifiedReadStable(e.dif, scratch, spare, pid, v)
+		stable, dbad, err := s.verifiedReadStable(e.dif, img, spare, pid, v)
 		s.putVerifySpare(spare)
 		if !stable {
 			return false, nil
@@ -264,14 +265,17 @@ func (s *Store) healBaseRead(sh *shard, pid uint32, e pageEntry, v uint64, buf [
 			s.itel.unrecoverablePages.Add(1)
 			return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
 		}
-		recs = diff.DecodeAll(scratch)
 	}
-	d, ok := newestFor(recs, pid)
-	if !ok || !coversSectors(d, bad, s.params.DataSize) {
+	rec, ok := diff.FindIn(img, pid)
+	if ok {
+		d, _, err := diff.Decode(rec)
+		ok = err == nil && coversSectors(d, bad, s.params.DataSize)
+	}
+	if !ok {
 		s.itel.unrecoverablePages.Add(1)
 		return true, &ftl.PageError{PID: pid, PPN: e.base, Kind: ftl.CorruptBase}
 	}
-	if err := d.Apply(buf); err != nil {
+	if err := diff.ApplyRecord(rec, buf); err != nil {
 		return true, err
 	}
 	// buf is now the exact current logical page (base + newest flushed

@@ -258,15 +258,16 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 	if e.dif == flash.NilPPN {
 		t.Fatal("expected a flushed differential page")
 	}
-	// Populate the decoded-differential cache, then corrupt the page: the
-	// cached decode is an exact copy of the page's current records.
+	// Populate the differential-page cache, then corrupt the page: the
+	// cached image is an exact copy of the page's current content.
 	mustReadEqual(t, s, 3, shadow[3])
 	fd.Inject(faultdev.Fault{PPN: e.dif, Kind: faultdev.SectorCorrupt, Off: 0})
-	ds, err := s.validDifferentials(e.dif)
+	page := make([]byte, s.params.DataSize)
+	ds, err := s.validDifferentials(e.dif, page, nil)
 	if err != nil {
-		t.Fatalf("validDifferentials with cached decode: %v", err)
+		t.Fatalf("validDifferentials with cached image: %v", err)
 	}
-	if len(ds) != 1 || ds[0].PID != 3 {
+	if len(ds) != 1 || ds[0].rec.PID() != 3 {
 		t.Fatalf("rescued differentials = %+v", ds)
 	}
 	if tel := s.Telemetry(); tel.PagesHealed == 0 {
@@ -275,7 +276,7 @@ func TestIntegrityGCCompactionRescue(t *testing.T) {
 	// Without the cached decode the collection must fail loudly.
 	s.dcache.invalidate(e.dif)
 	var pe *ftl.PageError
-	if _, err := s.validDifferentials(e.dif); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
+	if _, err := s.validDifferentials(e.dif, page, nil); !errors.As(err, &pe) || pe.Kind != ftl.CorruptDiff {
 		t.Fatalf("validDifferentials without cache = %v, want CorruptDiff", err)
 	}
 }

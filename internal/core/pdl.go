@@ -45,7 +45,7 @@
 //	    several channels (WriteBatch) lock them in ascending index order;
 //	  - the mapTable owns the mapping state (ppmt, time stamps, vdct,
 //	    reverseBase) behind its own RWMutex plus a per-pid version counter;
-//	  - the decoded-differential cache (see diffCache) has the innermost
+//	  - the differential-page cache (see diffCache) has the innermost
 //	    mutex, only ever taken last.
 //
 // Reads take NO store-level lock over the device: ReadPage snapshots the
@@ -64,8 +64,8 @@
 // back to the paper's synchronous collection when the erased-block
 // reserve itself is reached (backpressure). With BackgroundGC off, every
 // allocation collects synchronously, preserving the paper's semantics
-// exactly. Scratch page buffers come from a sync.Pool so concurrent
-// operations never share buffer state.
+// exactly. Scratch page buffers come from a free list (internal/bufpool)
+// so concurrent operations never share buffer state.
 package core
 
 import (
@@ -75,6 +75,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pdl/internal/bufpool"
 	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/ftl"
@@ -128,11 +129,12 @@ type Options struct {
 	// paper's serial single-scan. The recovered state is identical for
 	// every worker count.
 	RecoveryWorkers int
-	// DiffCachePages bounds the decoded-differential cache: the number of
-	// differential pages whose decoded records are kept in DRAM, so hot
+	// DiffCachePages bounds the differential-page cache: the number of
+	// differential pages whose verified images are kept in DRAM, so hot
 	// reads of diff-bearing pages cost one flash read plus a map lookup
-	// instead of two serial flash reads plus a decode. Zero means a
-	// default of 256 pages (at most a few hundred KB of decoded records);
+	// instead of two serial flash reads. The images take exactly
+	// DiffCachePages × the page data size bytes when the cache is full.
+	// Zero means a default of 256 pages (512 KB on 2 KB pages);
 	// DiffCacheOff disables the cache, restoring the paper's two-read
 	// PDL_Reading exactly. The cache is pure DRAM state — never persisted
 	// — so recovery is identical with and without it.
@@ -145,11 +147,11 @@ type Options struct {
 	DisableVerify bool
 }
 
-// DiffCacheOff disables the decoded-differential cache when assigned to
+// DiffCacheOff disables the differential-page cache when assigned to
 // Options.DiffCachePages.
 const DiffCacheOff = -1
 
-// defaultDiffCachePages is the decoded-differential cache bound used when
+// defaultDiffCachePages is the differential-page cache bound used when
 // Options.DiffCachePages is zero.
 const defaultDiffCachePages = 256
 
@@ -225,8 +227,8 @@ type Store struct {
 	itel  integrityTelemetry
 	// spares pools spare-area scratch buffers for the verifying read
 	// paths (the write paths use the per-channel spareBuf instead).
-	spares sync.Pool
-	// dcache is the decoded-differential cache (nil when disabled); its
+	spares bufpool.Pool
+	// dcache is the differential-page cache (nil when disabled); its
 	// coherence protocol is documented on the type.
 	dcache *diffCache
 
@@ -242,7 +244,7 @@ type Store struct {
 	// shards stamp differentials without holding the flash lock).
 	ts atomic.Uint64
 	// pages pools scratch page buffers for the read and write paths.
-	pages sync.Pool
+	pages bufpool.Pool
 	// ckpt is the checkpoint region manager (nil unless enabled).
 	ckpt *ckptRegion
 }
@@ -277,9 +279,9 @@ type Telemetry struct {
 	// width the device saw (pages per program operation).
 	BatchedPages int64
 	// DiffCacheHits counts reads of diff-bearing pages served from the
-	// decoded-differential cache (one flash read instead of two), and
-	// DiffCacheMisses those that had to read and decode the differential
-	// page. Both stay zero when the cache is disabled.
+	// differential-page cache (one flash read instead of two), and
+	// DiffCacheMisses those that had to read the differential page. Both
+	// stay zero when the cache is disabled.
 	DiffCacheHits, DiffCacheMisses int64
 	// ReadRetries counts optimistic read-path retries: a garbage-collection
 	// relocation or a flush moved the pid's mapping mid-read.
@@ -299,7 +301,7 @@ type Telemetry struct {
 	EccCorrectedBits int64
 	// PagesHealed counts reads of uncorrectably corrupt pages that were
 	// served by self-healing: the content was rebuilt from a redundant
-	// source (differential chain, decoded-differential cache, or shard
+	// source (differential chain, differential-page cache, or shard
 	// write buffer) instead of failing the read.
 	PagesHealed int64
 	// UnrecoverablePages counts reads that found uncorrectable corruption
@@ -421,8 +423,6 @@ func New(dev flash.Device, numPages int, opts Options) (*Store, error) {
 		mt:       newMapTable(numPages),
 		shards:   make([]shard, numShards),
 	}
-	s.pages.New = func() any { return make([]byte, p.DataSize) }
-	s.spares.New = func() any { return make([]byte, p.SpareSize) }
 	s.integ = integrity{
 		fits: ftl.IntegrityFits(p.DataSize, p.SpareSize),
 	}
@@ -594,10 +594,10 @@ func (s *Store) pickChannel(si int) int {
 }
 
 // getPage borrows a scratch page buffer from the pool.
-func (s *Store) getPage() []byte { return s.pages.Get().([]byte) }
+func (s *Store) getPage() []byte { return s.pages.Get(s.params.DataSize) }
 
 // putPage returns a scratch page buffer to the pool.
-func (s *Store) putPage(b []byte) { s.pages.Put(b) } //nolint:staticcheck // []byte header alloc is fine here
+func (s *Store) putPage(b []byte) { s.pages.Put(b) }
 
 // allocPageOn hands out channel ch's next flash page for a program under
 // the channel's lock. In synchronous mode it is the paper's Alloc
@@ -855,71 +855,68 @@ func (s *Store) readPageLocked(sh *shard, pid uint32, buf []byte) error {
 		if e.dif == flash.NilPPN {
 			return nil // no differential page; the base page is current
 		}
-		// The decoded-differential cache first: a hit saves the second
-		// flash read and the decode. The stability re-check pins the hit to
-		// the snapshot — a passing check proves e.dif is still pid's
-		// differential page, and the coherence protocol (see diffCache)
-		// guarantees a present entry always matches its PPN's current
-		// content.
-		if recs, ok := s.dcache.get(e.dif); ok {
+		// The differential-page cache first: a hit saves the second flash
+		// read. The stability re-check pins the hit to the snapshot — a
+		// passing check proves e.dif is still pid's differential page, and
+		// the coherence protocol (see diffCache) guarantees a present entry
+		// always matches its PPN's current content.
+		img, hit := s.dcache.get(e.dif)
+		if hit {
 			if !s.mt.stable(pid, v) {
 				s.rtel.readRetries.Add(1)
 				continue
 			}
 			s.rtel.diffCacheHits.Add(1)
-			d, ok := newestFor(recs, pid)
-			if !ok {
-				return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, e.dif)
+		} else {
+			gen := s.dcache.genSnapshot()
+			img = s.getPage()
+			spare = s.getVerifySpare()
+			stable, dbad, err := s.verifiedReadStable(e.dif, img, spare, pid, v)
+			s.putVerifySpare(spare)
+			if !stable {
+				s.putPage(img)
+				s.rtel.readRetries.Add(1)
+				continue // compacted mid-read; retry (base may have moved too)
 			}
-			return d.Apply(buf)
-		}
-		gen := s.dcache.genSnapshot()
-		scratch := s.getPage()
-		spare = s.getVerifySpare()
-		stable, dbad, err := s.verifiedReadStable(e.dif, scratch, spare, pid, v)
-		s.putVerifySpare(spare)
-		if !stable {
-			s.putPage(scratch)
-			s.rtel.readRetries.Add(1)
-			continue // compacted mid-read; retry (base may have moved too)
-		}
-		if err != nil {
-			s.putPage(scratch)
-			return fmt.Errorf("core: reading differential page of pid %d: %w", pid, err)
-		}
-		if len(dbad) > 0 {
-			// An uncorrectably corrupt differential page. The write buffer
-			// and the decoded cache were already consulted above, so no
-			// redundant source for pid's newest differential remains.
-			s.putPage(scratch)
-			s.itel.unrecoverablePages.Add(1)
-			return &ftl.PageError{PID: pid, PPN: e.dif, Kind: ftl.CorruptDiff}
-		}
-		if s.dcache != nil {
-			// Decode the whole page once and cache it: the differential
-			// page's other records belong to other (likely hot) pids.
-			s.rtel.diffCacheMisses.Add(1)
-			recs := diff.DecodeAll(scratch)
-			s.dcache.put(e.dif, recs, gen)
-			s.putPage(scratch) // decoded ranges are copies; the scratch can go back
-			d, ok := newestFor(recs, pid)
-			if !ok {
-				return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, e.dif)
+			if err != nil {
+				s.putPage(img)
+				return fmt.Errorf("core: reading differential page of pid %d: %w", pid, err)
 			}
-			return d.Apply(buf)
+			if len(dbad) > 0 {
+				// An uncorrectably corrupt differential page. The write buffer
+				// and the cache were already consulted above, so no redundant
+				// source for pid's newest differential remains.
+				s.putPage(img)
+				s.itel.unrecoverablePages.Add(1)
+				return &ftl.PageError{PID: pid, PPN: e.dif, Kind: ftl.CorruptDiff}
+			}
+			if s.dcache != nil {
+				// Hand the verified image to the cache as is: its other
+				// records belong to other (likely hot) pids. The cache owns
+				// it from here on; it never goes back to the pool.
+				s.rtel.diffCacheMisses.Add(1)
+				s.dcache.put(e.dif, img, gen)
+			}
 		}
-		// Cache disabled: scan for pid's record in place and apply it
-		// straight from the wire form — no record is decoded or copied.
-		rec, ok := diff.FindIn(scratch, pid)
-		if !ok {
-			s.putPage(scratch)
-			return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, e.dif)
+		// Step 3: merge the base page with pid's record, applied straight
+		// from the wire form.
+		err = mergeRecord(img, pid, e.dif, buf)
+		if s.dcache == nil {
+			s.putPage(img)
 		}
-		// Step 3: merge the base page with the differential.
-		err = diff.ApplyRecord(rec, buf)
-		s.putPage(scratch)
 		return err
 	}
+}
+
+// mergeRecord applies pid's newest record in the differential page image
+// img onto buf. A stable mapping that points at a page without a record
+// for pid is a broken invariant, reported as corruption.
+func mergeRecord(img []byte, pid uint32, ppn flash.PPN, buf []byte) error {
+	rec, ok := diff.FindIn(img, pid)
+	if !ok {
+		return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, ppn)
+	}
+	return diff.ApplyRecord(rec, buf)
 }
 
 // Flush implements ftl.Method: it writes every shard's differential write
@@ -972,24 +969,6 @@ func (s *Store) Flush() error {
 		s.shards[i].dwb.clear()
 	}
 	return nil
-}
-
-// newestFor returns the newest decoded differential for pid among the
-// records of one differential page (the read path's arbitration when a
-// page carries several generations for the same pid).
-func newestFor(recs []diff.Differential, pid uint32) (diff.Differential, bool) {
-	var best diff.Differential
-	found := false
-	for _, d := range recs {
-		if d.PID != pid {
-			continue
-		}
-		if !found || d.TS > best.TS {
-			best = d
-			found = true
-		}
-	}
-	return best, found
 }
 
 // writeNewBasePage implements the writingNewBasePage procedure (Figure 8):
@@ -1097,8 +1076,8 @@ func (s *Store) releaseDiffPage(dp flash.PPN, ch int) error {
 	if !s.mt.decDiffCount(dp) {
 		return nil
 	}
-	// The page died: no mapping points at it anymore, so its decoded
-	// records can never be consulted again — drop them from the cache
+	// The page died: no mapping points at it anymore, so its cached
+	// image can never be consulted again — drop them from the cache
 	// before the allocator can reclaim and reuse the PPN.
 	s.dcache.invalidate(dp)
 	if err := s.alloc.MarkObsoleteFrom(dp, ch); err != nil {
@@ -1177,8 +1156,8 @@ func (s *Store) Telemetry() Telemetry {
 }
 
 // DiffCacheLen returns the number of differential pages currently held by
-// the decoded-differential cache (0 when disabled); for tests and tooling.
+// the differential-page cache (0 when disabled); for tests and tooling.
 func (s *Store) DiffCacheLen() int { return s.dcache.len() }
 
-// DiffCacheEnabled reports whether the decoded-differential cache is on.
+// DiffCacheEnabled reports whether the differential-page cache is on.
 func (s *Store) DiffCacheEnabled() bool { return s.dcache != nil }

@@ -421,30 +421,28 @@ func TestFindDifferentialPicksNewest(t *testing.T) {
 	for i := range page {
 		page[i] = 0xFF
 	}
-	d1 := diff.Differential{PID: 3, TS: 5, Ranges: []diff.Range{{Off: 0, Data: []byte{1}}}}
-	d2 := diff.Differential{PID: 3, TS: 9, Ranges: []diff.Range{{Off: 0, Data: []byte{2}}}}
+	d1 := diff.Differential{PID: 3, TS: 9, Ranges: []diff.Range{{Off: 0, Data: []byte{2}}}}
+	d2 := diff.Differential{PID: 3, TS: 5, Ranges: []diff.Range{{Off: 0, Data: []byte{1}}}}
+	d3 := diff.Differential{PID: 7, TS: 12, Ranges: []diff.Range{{Off: 0, Data: []byte{3}}}}
 	enc := d1.AppendTo(nil)
 	enc = d2.AppendTo(enc)
+	enc = d3.AppendTo(enc)
 	copy(page, enc)
-	// Both read-path searches — the cached decode and the in-place scan —
-	// must arbitrate to the newest record.
-	got, ok := newestFor(diff.DecodeAll(page), 3)
-	if !ok || got.TS != 9 {
-		t.Errorf("newestFor = %+v ok=%v, want ts 9", got, ok)
-	}
-	if _, ok := newestFor(diff.DecodeAll(page), 4); ok {
-		t.Error("found differential for absent pid")
-	}
-	rec, ok := diff.FindIn(page, 3)
-	if !ok {
-		t.Fatal("FindIn missed pid 3")
-	}
+	// The one read-path merge — mergeRecord, serving cache hits, misses
+	// and the cache-off path alike — must arbitrate to the newest record
+	// for the pid even when an older one follows it in the page.
 	out := make([]byte, 512)
-	if err := diff.ApplyRecord(rec, out); err != nil {
+	if err := mergeRecord(page, 3, 1, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 2 {
-		t.Errorf("FindIn picked byte %d, want the newest record's 2", out[0])
+		t.Errorf("mergeRecord applied byte %d, want the newest record's 2", out[0])
+	}
+	if err := mergeRecord(page, 4, 1, out); err == nil {
+		t.Error("mergeRecord found a differential for an absent pid")
+	}
+	if out[0] != 2 {
+		t.Error("a failed mergeRecord modified the page")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/ftl"
 )
@@ -16,7 +15,7 @@ var _ ftl.BatchReader = (*Store)(nil)
 // batch-first, the mirror image of WriteBatch: the base pages of the whole
 // batch are read in one device ReadBatch under one bus grant, and the
 // differential pages the batch still needs after the write-buffer and
-// decoded-differential-cache consultations are deduplicated (one physical
+// differential-page-cache consultations are deduplicated (one physical
 // read serves every pid whose differential lives in the same page) and
 // fetched as a second device batch.
 //
@@ -111,7 +110,7 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 		s.rtel.batchedReads.Add(int64(len(batch)))
 
 		// Step 2: resolve each pid's differential — write buffer, then the
-		// decoded-differential cache; whatever is left needs flash, grouped
+		// differential-page cache; whatever is left needs flash, grouped
 		// by differential page so each page is read once.
 		gen := s.dcache.genSnapshot()
 		var retry []pending
@@ -143,13 +142,13 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 			if p.e.dif == flash.NilPPN {
 				continue
 			}
-			if recs, ok := s.dcache.get(p.e.dif); ok {
+			if img, ok := s.dcache.get(p.e.dif); ok {
 				if !s.mt.stable(pid, p.v) {
 					retry = append(retry, p)
 					continue
 				}
 				s.rtel.diffCacheHits.Add(1)
-				if err := applyNewest(recs, pid, p.e.dif, bufs[p.i]); err != nil {
+				if err := mergeRecord(img, pid, p.e.dif, bufs[p.i]); err != nil {
 					return err
 				}
 				continue
@@ -186,7 +185,7 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 							// Uncorrectable differential page: route every pid
 							// it was serving through the serial read path,
 							// which heals from redundant sources or surfaces
-							// the typed error. The corrupt decode must never
+							// the typed error. The corrupt image must never
 							// reach the cache. Shard read locks are held.
 							for _, p := range difFor[ppn] {
 								pid := pids[p.i]
@@ -200,16 +199,17 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 							continue
 						}
 					}
-					var recs []diff.Differential
 					if s.dcache != nil {
-						// Decode once per page; the insert is fenced by gen
-						// (taken before the flash read), so a decode of a
-						// page that died mid-flight is dropped, and the
-						// unstable pids below retry against fresh mappings.
-						recs = diff.DecodeAll(pageData)
-						s.dcache.put(ppn, recs, gen)
-						// One miss per page decoded; further stable pids
-						// served by the same decode count as hits below,
+						// Hand the verified image to the cache, which owns
+						// it from here on (it must not go back to the pool).
+						// The insert is fenced by gen (taken before the
+						// flash read), so an image of a page that died
+						// mid-flight is dropped, and the unstable pids below
+						// retry against fresh mappings.
+						s.dcache.put(ppn, pageData, gen)
+						scratches[k] = nil
+						// One miss per page read; further stable pids
+						// served by the same image count as hits below,
 						// exactly what serial ReadPage calls would report.
 						s.rtel.diffCacheMisses.Add(1)
 					}
@@ -220,20 +220,10 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 							retry = append(retry, p)
 							continue
 						}
-						if s.dcache != nil {
-							if served++; served > 1 {
-								s.rtel.diffCacheHits.Add(1)
-							}
-							err = applyNewest(recs, pid, ppn, bufs[p.i])
-						} else {
-							rec, ok := diff.FindIn(pageData, pid)
-							if !ok {
-								err = fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, ppn)
-							} else {
-								err = diff.ApplyRecord(rec, bufs[p.i])
-							}
+						if served++; served > 1 && s.dcache != nil {
+							s.rtel.diffCacheHits.Add(1)
 						}
-						if err != nil {
+						if err = mergeRecord(pageData, pid, ppn, bufs[p.i]); err != nil {
 							break
 						}
 					}
@@ -245,7 +235,9 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 				err = fmt.Errorf("core: batch-reading %d differential pages: %w", len(dbatch), err)
 			}
 			for _, sc := range scratches {
-				s.putPage(sc)
+				if sc != nil {
+					s.putPage(sc)
+				}
 			}
 			if err != nil {
 				return err
@@ -254,15 +246,4 @@ func (s *Store) ReadBatch(pids []uint32, bufs [][]byte) error {
 		todo = retry
 	}
 	return nil
-}
-
-// applyNewest merges the newest decoded differential for pid onto buf; a
-// stable mapping that points at a page without a record for pid is a
-// broken invariant, reported as corruption.
-func applyNewest(recs []diff.Differential, pid uint32, ppn flash.PPN, buf []byte) error {
-	d, ok := newestFor(recs, pid)
-	if !ok {
-		return fmt.Errorf("core: differential of pid %d missing from differential page %d", pid, ppn)
-	}
-	return d.Apply(buf)
 }

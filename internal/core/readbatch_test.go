@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"pdl/internal/diff"
 	"pdl/internal/flash"
 	"pdl/internal/ftl"
 	"pdl/internal/ftltest"
@@ -388,12 +387,12 @@ func TestConcurrentReadBatchWriteBatchGC(t *testing.T) {
 // pages, which track every spill and GC increment, must not suppress it.
 func TestDiffCachePerPPNInsertFence(t *testing.T) {
 	c := newDiffCache(8)
-	recs := []diff.Differential{{PID: 1, TS: 1}}
+	img := []byte{1}
 
 	// Unrelated invalidation between snapshot and insert: insert lands.
 	g := c.genSnapshot()
 	c.invalidate(99)
-	c.put(7, recs, g)
+	c.put(7, img, g)
 	if _, ok := c.get(7); !ok {
 		t.Error("insert dropped by an unrelated PPN's invalidation")
 	}
@@ -401,7 +400,7 @@ func TestDiffCachePerPPNInsertFence(t *testing.T) {
 	// Same-PPN invalidation between snapshot and insert: insert dropped.
 	g = c.genSnapshot()
 	c.invalidate(7)
-	c.put(7, recs, g)
+	c.put(7, img, g)
 	if _, ok := c.get(7); ok {
 		t.Error("insert survived its own PPN's invalidation")
 	}
@@ -412,7 +411,7 @@ func TestDiffCachePerPPNInsertFence(t *testing.T) {
 	for i := 0; i < invalWindow+1; i++ {
 		c.invalidate(flash.PPN(1000 + i))
 	}
-	c.put(8, recs, g)
+	c.put(8, img, g)
 	if _, ok := c.get(8); ok {
 		t.Error("insert with a pre-history snapshot accepted")
 	}
@@ -422,7 +421,7 @@ func TestDiffCachePerPPNInsertFence(t *testing.T) {
 
 	// A fresh snapshot after all that churn works normally again.
 	g = c.genSnapshot()
-	c.put(8, recs, g)
+	c.put(8, img, g)
 	if _, ok := c.get(8); !ok {
 		t.Error("insert with a current snapshot dropped")
 	}

@@ -266,7 +266,8 @@ type scanResult struct {
 
 // scanBlockRange reads blocks [lo, hi) for recovery: every page's spare
 // header lands in infos (indices disjoint between workers), and the
-// worker's candidate tables collect base pages and decoded differentials.
+// worker's candidate tables collect base pages and differential records
+// (walked in place: arbitration needs only their pid and time stamp).
 // Each worker owns its buffers, and devices serve concurrent reads.
 //
 // When integrity verification is on, a programmed page must pass its
@@ -276,7 +277,7 @@ type scanResult struct {
 // useless-page pass — so a corrupt spare can never masquerade as a valid
 // mapping and corrupt data never silently wins arbitration. Single-bit
 // errors are corrected in place (and counted) before differential pages
-// are decoded. Checkpoint chunks are exempt here: the checkpoint region
+// are walked. Checkpoint chunks are exempt here: the checkpoint region
 // verifies its own chunks in findCheckpoint, where a corrupt chunk
 // demotes the whole checkpoint to incomplete.
 func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) error {
@@ -344,12 +345,13 @@ func (s *Store) scanBlockRange(lo, hi int, infos []pageInfo, res *scanResult) er
 					infos[ppn].quarantined = true
 					continue
 				}
-				for _, d := range diff.DecodeAll(data) {
-					if int(d.PID) >= numPages {
+				for rec, rest, ok := diff.NextRecord(data); ok; rec, rest, ok = diff.NextRecord(rest) {
+					pid, ts := rec.PID(), rec.TS()
+					if int(pid) >= numPages {
 						continue
 					}
-					if c, ok := res.diffs[d.PID]; !ok || d.TS > c.ts {
-						res.diffs[d.PID] = candidate{ppn: ppn, ts: d.TS}
+					if c, ok := res.diffs[pid]; !ok || ts > c.ts {
+						res.diffs[pid] = candidate{ppn: ppn, ts: ts}
 					}
 				}
 			}

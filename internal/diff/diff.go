@@ -198,7 +198,9 @@ func (d Differential) AppendTo(buf []byte) []byte {
 // Decode decodes one differential from the front of buf, returning it and
 // the number of bytes consumed. A buffer whose first size field is the
 // erased-flash end marker (or too short to hold a header) yields ErrCorrupt;
-// use DecodeAll to scan a differential page tolerantly.
+// use DecodeAll to scan a differential page tolerantly. Decode and DecodeAll
+// are the codec's reference decoder: the store walks pages with NextRecord
+// and decodes only the one record a self-healing read checks.
 func Decode(buf []byte) (Differential, int, error) {
 	if len(buf) < headerSize {
 		return Differential{}, 0, fmt.Errorf("%w: short buffer (%d bytes)", ErrCorrupt, len(buf))
@@ -252,30 +254,45 @@ func DecodeAll(pageData []byte) []Differential {
 	return out
 }
 
+// Record is one differential in its wire form, as AppendTo produced it: a
+// subslice of a differential page, valid only while the page is.
+type Record []byte
+
+// PID returns the logical page the record belongs to.
+func (r Record) PID() uint32 { return binary.LittleEndian.Uint32(r[2:]) }
+
+// TS returns the record's creation time stamp.
+func (r Record) TS() uint64 { return binary.LittleEndian.Uint64(r[6:]) }
+
+// NextRecord is the differential-page walker: it returns the record at
+// the front of pageData and the bytes after it, without decoding or
+// allocating. ok is false at the erased-flash end marker, at a short tail
+// and at the first malformed record: it accepts exactly the records
+// DecodeAll decodes, so a torn trailing record ends the walk.
+//
+//	for rec, rest, ok := NextRecord(page); ok; rec, rest, ok = NextRecord(rest) { ... }
+func NextRecord(pageData []byte) (rec Record, rest []byte, ok bool) {
+	if len(pageData) < headerSize {
+		return nil, nil, false
+	}
+	size := int(binary.LittleEndian.Uint16(pageData))
+	if size == endMarker || size < headerSize || size > len(pageData) || !validRecord(pageData[:size]) {
+		return nil, nil, false
+	}
+	return Record(pageData[:size]), pageData[size:], true
+}
+
 // FindIn locates the newest differential record for pid in a differential
-// page's data area, returning the encoded record as a subslice of pageData
-// (no decoding, no allocation). Like DecodeAll it stops at the erased-flash
-// end marker or at the first byte sequence that cannot be a record, so a
-// torn trailing record is ignored. Apply the result with ApplyRecord; the
-// record aliases pageData and is only valid while pageData is.
-func FindIn(pageData []byte, pid uint32) (rec []byte, ok bool) {
+// page's data area with the NextRecord walker (no decoding, no
+// allocation). Apply the result with ApplyRecord.
+func FindIn(pageData []byte, pid uint32) (rec Record, ok bool) {
 	var bestTS uint64
-	off := 0
-	for off+headerSize <= len(pageData) {
-		size := int(binary.LittleEndian.Uint16(pageData[off:]))
-		if size == endMarker || size < headerSize || off+size > len(pageData) {
-			break
-		}
-		r := pageData[off : off+size]
-		if !validRecord(r) {
-			break
-		}
-		if binary.LittleEndian.Uint32(r[2:]) == pid {
-			if ts := binary.LittleEndian.Uint64(r[6:]); !ok || ts > bestTS {
+	for r, rest, more := NextRecord(pageData); more; r, rest, more = NextRecord(rest) {
+		if r.PID() == pid {
+			if ts := r.TS(); !ok || ts > bestTS {
 				rec, bestTS, ok = r, ts, true
 			}
 		}
-		off += size
 	}
 	return rec, ok
 }
@@ -300,7 +317,7 @@ func validRecord(rec []byte) bool {
 }
 
 // ApplyRecord overlays an encoded differential record (as returned by
-// FindIn) onto page, straight from the wire form: no range is decoded into
+// FindIn or NextRecord) onto page, straight from the wire form: no range is decoded into
 // a heap copy first. Every range is validated — against the record and
 // against the page bounds — before the first byte of page is touched, so a
 // corrupt record returns ErrCorrupt with page unmodified.

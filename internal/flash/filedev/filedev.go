@@ -48,6 +48,7 @@ import (
 	"os"
 	"sync"
 
+	"pdl/internal/bufpool"
 	"pdl/internal/flash"
 )
 
@@ -128,11 +129,11 @@ type Device struct {
 	scratch []byte
 	// readBufs pools stored-domain page records for Read, which runs
 	// shared-locked on any number of goroutines and so cannot touch scratch.
-	readBufs sync.Pool
+	readBufs bufpool.Pool
 	// runBufs pools the larger stored-domain buffers ReadBatch uses for
-	// PPN-contiguous runs (kept apart from readBufs, whose buffers must
-	// stay exactly one record long).
-	runBufs sync.Pool
+	// PPN-contiguous runs (kept apart from readBufs, so reads do not trade
+	// record-sized buffers for run-sized ones).
+	runBufs bufpool.Pool
 	// zeros is an erased (stored-domain) block image reused by Erase.
 	zeros []byte
 
@@ -217,8 +218,6 @@ func (d *Device) layout() {
 	d.bad = make([]bool, p.NumBlocks)
 	d.sparePrg = make([]uint8, p.NumPages())
 	d.scratch = make([]byte, d.recordSize)
-	recordSize := d.recordSize
-	d.readBufs.New = func() any { return make([]byte, recordSize) }
 	d.zeros = make([]byte, int64(p.PagesPerBlock)*d.recordSize)
 }
 
@@ -366,8 +365,8 @@ func (d *Device) Read(ppn flash.PPN, data, spare []byte) error {
 	if spare != nil && len(spare) != p.SpareSize {
 		return fmt.Errorf("%w: spare len %d, want %d", flash.ErrBufSize, len(spare), p.SpareSize)
 	}
-	rec := d.readBufs.Get().([]byte)
-	defer d.readBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
+	rec := d.readBufs.Get(int(d.recordSize))
+	defer d.readBufs.Put(rec)
 	if _, err := d.f.ReadAt(rec, d.recordOff(ppn)); err != nil {
 		return err
 	}
@@ -424,15 +423,8 @@ func (d *Device) ReadBatch(batch []flash.PageRead) error {
 func (d *Device) readRun(run []flash.PageRead) error {
 	p := d.params
 	need := len(run) * int(d.recordSize)
-	var rec []byte
-	if v := d.runBufs.Get(); v != nil {
-		rec = v.([]byte)
-	}
-	if cap(rec) < need {
-		rec = make([]byte, need)
-	}
-	rec = rec[:need]
-	defer d.runBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
+	rec := d.runBufs.Get(need)
+	defer d.runBufs.Put(rec)
 	if _, err := d.f.ReadAt(rec, d.recordOff(run[0].PPN)); err != nil {
 		return err
 	}
@@ -556,7 +548,7 @@ func (d *Device) ProgramBatch(batch []flash.PageProgram) error {
 	defer func() {
 		for _, rec := range recs {
 			if rec != nil {
-				d.readBufs.Put(rec) //nolint:staticcheck // []byte header alloc is fine here
+				d.readBufs.Put(rec)
 			}
 		}
 	}()
@@ -569,7 +561,7 @@ func (d *Device) ProgramBatch(batch []flash.PageProgram) error {
 			return fmt.Errorf("%w: ppn %d", flash.ErrDuplicatePPN, pp.PPN)
 		}
 		seen[pp.PPN] = struct{}{}
-		rec := d.readBufs.Get().([]byte)
+		rec := d.readBufs.Get(int(d.recordSize))
 		recs[i] = rec
 		if _, err := d.f.ReadAt(rec, d.recordOff(pp.PPN)); err != nil {
 			return err
